@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kgae_intervals::{
-    agresti_coull, clopper_pearson, et_interval, hpd_interval, hpd_interval_exact, wald_srs,
-    wilson, BetaPrior,
+    agresti_coull, clopper_pearson, et_interval, hpd_interval, wald_srs, wilson, BetaPrior,
 };
 
 fn bench_intervals(c: &mut Criterion) {
@@ -30,11 +29,8 @@ fn bench_intervals(c: &mut Criterion) {
     g.bench_function("et", |b| {
         b.iter(|| et_interval(black_box(&post), alpha).unwrap())
     });
-    g.bench_function("hpd_slsqp", |b| {
+    g.bench_function("hpd", |b| {
         b.iter(|| hpd_interval(black_box(&post), alpha).unwrap())
-    });
-    g.bench_function("hpd_exact_brent", |b| {
-        b.iter(|| hpd_interval_exact(black_box(&post), alpha).unwrap())
     });
     g.finish();
 }

@@ -14,7 +14,7 @@
 //! [`crate::framework`].
 
 use crate::state::{DesignKind, SampleState};
-use kgae_intervals::{hpd_interval_warm, BetaPrior, Interval, IntervalError};
+use kgae_intervals::{hpd_interval, BetaPrior, Interval, IntervalError};
 use kgae_stats::dist::Beta;
 
 /// Result of one aHPD interval selection.
@@ -49,25 +49,13 @@ pub fn ahpd_select(
     alpha: f64,
     priors: &[BetaPrior],
 ) -> Result<AHpdSelection, IntervalError> {
-    ahpd_select_warm(state, alpha, priors, &mut vec![None; priors.len()])
-}
-
-/// [`ahpd_select`] with per-prior warm starts carried across the
-/// iterative framework's successive calls (pure constant-factor speedup;
-/// the HPD optimum is unique, so results are unchanged).
-pub fn ahpd_select_warm(
-    state: &SampleState,
-    alpha: f64,
-    priors: &[BetaPrior],
-    warm: &mut Vec<Option<(f64, f64)>>,
-) -> Result<AHpdSelection, IntervalError> {
     assert!(!priors.is_empty(), "aHPD needs at least one prior");
     assert!(state.n() > 0, "aHPD needs at least one annotation");
 
     // Lines 10–12: annotation outcome (exact integer counts under SRS,
     // design-effect-corrected effective counts under cluster designs).
     let posteriors = posteriors_for_state(state, priors)?;
-    ahpd_select_posteriors(&posteriors, alpha, warm)
+    ahpd_select_posteriors(&posteriors, alpha)
 }
 
 /// Per-prior posteriors for the current sample: the conjugate update of
@@ -101,18 +89,13 @@ pub(crate) fn posteriors_for_state(
 pub(crate) fn ahpd_select_posteriors(
     posteriors: &[Beta],
     alpha: f64,
-    warm: &mut Vec<Option<(f64, f64)>>,
 ) -> Result<AHpdSelection, IntervalError> {
     assert!(!posteriors.is_empty(), "aHPD needs at least one prior");
-    warm.resize(posteriors.len(), None);
 
     let mut candidates = Vec::with_capacity(posteriors.len());
-    for (i, posterior) in posteriors.iter().enumerate() {
-        let interval = match hpd_interval_warm(posterior, alpha, warm[i]) {
-            Ok(interval) => {
-                warm[i] = Some((interval.lower(), interval.upper()));
-                interval
-            }
+    for posterior in posteriors {
+        let interval = match hpd_interval(posterior, alpha) {
+            Ok(interval) => interval,
             // A sub-uniform prior with (near-)zero effective evidence
             // yields a U-shaped posterior with no single HPD interval.
             // That candidate carries no usable information this round:

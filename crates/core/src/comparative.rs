@@ -46,7 +46,7 @@
 //! bit-identical to a standalone session with the same seed, design and
 //! config (property-tested). Rival trackers replay the *exact*
 //! per-unit stopping sequence of the engine — same readiness gate, same
-//! certified-lookahead schedule, same warm-started solvers — against
+//! certified-lookahead schedule, same solvers — against
 //! the shared [`SampleState`], whose trajectory is method-independent.
 //! A rival that converges before the primary therefore reports the
 //! same stopping observation count and interval a standalone campaign
@@ -391,10 +391,9 @@ impl<'a> ComparativeSession<'a> {
                     .method
                     .stop_possible_now(state, cfg.alpha, cfg.epsilon, &rival.solver);
             if construct {
-                let interval =
-                    rival
-                        .method
-                        .interval_stateful(state, cfg.alpha, &mut rival.solver)?;
+                let interval = rival
+                    .method
+                    .interval_stateful(state, cfg.alpha, &rival.solver)?;
                 if interval.moe() <= cfg.epsilon {
                     rival.stopped = Some(RivalStop {
                         observations: state.n(),
@@ -455,14 +454,11 @@ impl<'a> ComparativeSession<'a> {
             None => {
                 let state = self.primary.sample_state();
                 let has_data = state.n() > 0;
-                // Scratch solver clone: observing never perturbs the
-                // rival's warm-started trajectory.
                 let interval = has_data
                     .then(|| {
-                        let mut scratch = rival.solver.clone();
                         rival
                             .method
-                            .interval_stateful(state, self.primary.config().alpha, &mut scratch)
+                            .interval_stateful(state, self.primary.config().alpha, &rival.solver)
                             .ok()
                     })
                     .flatten();

@@ -10,8 +10,9 @@
 //!   shared [`KernelCache`] is attached to the [`MethodState`] the solves
 //!   are memoized process-wide; without one the same functions run
 //!   directly, so cached and uncached runs are bit-identical by
-//!   construction. (Cluster designs have fractional effective counts and
-//!   stay on the warm-started SLSQP path.)
+//!   construction. (Cluster designs have fractional effective counts, so
+//!   they call the same HPD solver on their effective-sample posteriors
+//!   without memoization.)
 //! * **Certified multi-step lookahead**
 //!   ([`IntervalMethod::certified_skip_srs`] /
 //!   [`IntervalMethod::certified_skip_cluster`]): from Theorem 1's width
@@ -25,7 +26,7 @@
 use crate::ahpd::{ahpd_select_posteriors, posteriors_for_state};
 use crate::state::{DesignKind, SampleState};
 use kgae_intervals::{
-    et_interval, hpd_interval_warm, hpd_width_achievable, wald_from_variance, wilson, BetaPrior,
+    et_interval, hpd_interval, hpd_width_achievable, wald_from_variance, wilson, BetaPrior,
     Interval, IntervalError, Kernel, KernelCache,
 };
 use kgae_stats::dist::Beta;
@@ -37,13 +38,12 @@ use std::sync::Arc;
 const MAX_SKIP: u64 = 1 << 16;
 
 /// Per-run solver state carried across the framework's successive calls:
-/// SLSQP warm starts for the cluster paths (the optimum is unique, so
-/// warm starting changes cost, not results), the incrementally-advanced
-/// per-prior posteriors for SRS samples, and an optional handle on the
-/// process-wide posterior-kernel cache.
+/// the incrementally-advanced per-prior posteriors for SRS samples and an
+/// optional handle on the process-wide posterior-kernel cache. Interval
+/// construction only reads it: every solve is a pure function of the
+/// sample.
 #[derive(Debug, Clone, Default)]
 pub struct MethodState {
-    pub(crate) warm: Vec<Option<(f64, f64)>>,
     /// Per-prior posteriors `Beta(a + τ, b + n − τ)`, advanced by
     /// [`IntervalMethod::record_observation`]. Empty for methods without
     /// posteriors (Wald, Wilson). SRS interval construction routes
@@ -133,7 +133,6 @@ impl IntervalMethod {
     pub fn new_state(&self) -> MethodState {
         let priors = self.priors().unwrap_or(&[]);
         MethodState {
-            warm: vec![None; priors.len()],
             posteriors: priors
                 .iter()
                 .map(|p| Beta::new(p.a, p.b).expect("priors have positive parameters"))
@@ -169,16 +168,16 @@ impl IntervalMethod {
     /// maximally uninformative sentinel interval `[μ̂-0.5, μ̂+0.5]`
     /// (MoE 0.5), so the stopping rule simply keeps sampling.
     pub fn interval(&self, state: &SampleState, alpha: f64) -> Result<Interval, IntervalError> {
-        self.interval_stateful(state, alpha, &mut self.new_state())
+        self.interval_stateful(state, alpha, &self.new_state())
     }
 
-    /// [`Self::interval`] with warm-start and posterior state carried
-    /// across calls.
+    /// [`Self::interval`] through a run's solver state, so SRS solves
+    /// route through its attached kernel cache.
     pub fn interval_stateful(
         &self,
         state: &SampleState,
         alpha: f64,
-        cache: &mut MethodState,
+        cache: &MethodState,
     ) -> Result<Interval, IntervalError> {
         match self {
             IntervalMethod::Wald => {
@@ -225,14 +224,8 @@ impl IntervalMethod {
                 DesignKind::Cluster => {
                     let eff = state.effective();
                     let post = prior.posterior_effective(eff.mu, eff.n_eff)?;
-                    let warm = cache.warm.first().copied().flatten();
-                    match hpd_interval_warm(&post, alpha, warm) {
-                        Ok(i) => {
-                            if let Some(slot) = cache.warm.first_mut() {
-                                *slot = Some((i.lower(), i.upper()));
-                            }
-                            Ok(i)
-                        }
+                    match hpd_interval(&post, alpha) {
+                        Ok(i) => Ok(i),
                         Err(IntervalError::UShapedPosterior { .. }) => Ok(Interval::new(0.0, 1.0)),
                         Err(e) => Err(e),
                     }
@@ -240,7 +233,7 @@ impl IntervalMethod {
             },
             IntervalMethod::AHpd(priors) => match state.kind() {
                 DesignKind::Srs => {
-                    // Match ahpd_select_warm's loud failure on an empty
+                    // Match ahpd_select's loud failure on an empty
                     // sample — a prior-only "posterior" interval would
                     // look plausible and hide the caller's bug.
                     assert!(state.n() > 0, "aHPD needs at least one annotation");
@@ -263,7 +256,7 @@ impl IntervalMethod {
                 }
                 DesignKind::Cluster => {
                     let posteriors = posteriors_for_state(state, priors)?;
-                    Ok(ahpd_select_posteriors(&posteriors, alpha, &mut cache.warm)?.interval)
+                    Ok(ahpd_select_posteriors(&posteriors, alpha)?.interval)
                 }
             },
         }
@@ -623,7 +616,7 @@ mod tests {
     #[test]
     fn incremental_posteriors_match_fresh_construction() {
         // Drive the cache one observation at a time; intervals must
-        // agree with a cold state, and the incrementally-observed
+        // equal a cold state's bit for bit, and the incrementally-observed
         // posteriors (kept for snapshot-byte stability) must track the
         // fresh count construction.
         let method = IntervalMethod::ahpd_default();
@@ -635,12 +628,12 @@ mod tests {
             method.record_observation(&mut cache, label);
             assert_eq!(cache.tracked, (state.tau(), state.n()));
             if i >= 29 && i % 13 == 0 {
-                let warm = method.interval_stateful(&state, 0.05, &mut cache).unwrap();
+                let carried = method.interval_stateful(&state, 0.05, &cache).unwrap();
                 let cold = method.interval(&state, 0.05).unwrap();
-                assert!(
-                    (warm.lower() - cold.lower()).abs() < 1e-9
-                        && (warm.upper() - cold.upper()).abs() < 1e-9,
-                    "step {i}: warm {warm} vs cold {cold}"
+                assert_eq!(
+                    (carried.lower().to_bits(), carried.upper().to_bits()),
+                    (cold.lower().to_bits(), cold.upper().to_bits()),
+                    "step {i}: carried {carried} vs cold {cold}"
                 );
                 for (post, prior) in cache.posteriors.iter().zip(BetaPrior::UNINFORMATIVE) {
                     let fresh = prior.posterior(state.tau(), state.n());
@@ -666,13 +659,13 @@ mod tests {
             IntervalMethod::ahpd_default(),
         ];
         for method in methods {
-            let mut plain = method.new_state();
+            let plain = method.new_state();
             let mut cached = method.new_state();
             cached.attach_kernel(Arc::clone(&shared));
             for (tau, n) in [(1u64, 1u64), (5, 30), (27, 30), (30, 30), (88, 100)] {
                 let state = srs_state(tau, n);
-                let a = method.interval_stateful(&state, 0.05, &mut plain).unwrap();
-                let b = method.interval_stateful(&state, 0.05, &mut cached).unwrap();
+                let a = method.interval_stateful(&state, 0.05, &plain).unwrap();
+                let b = method.interval_stateful(&state, 0.05, &cached).unwrap();
                 assert_eq!(
                     (a.lower().to_bits(), a.upper().to_bits()),
                     (b.lower().to_bits(), b.upper().to_bits()),

@@ -569,9 +569,9 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
 
     /// Point-in-time view: estimate, interval, cost and stop state.
     ///
-    /// On a running session the interval is constructed from a scratch
-    /// copy of the solver state, so observing a session never perturbs
-    /// its (warm-started) stopping trajectory.
+    /// On a running session the interval is constructed from the current
+    /// sample; interval construction only reads solver state, so
+    /// observing a session never perturbs its stopping trajectory.
     #[must_use]
     pub fn status(&self) -> SessionStatus {
         if let Some(o) = &self.outcome {
@@ -588,9 +588,8 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         let has_data = self.state.n() > 0;
         let estimate = has_data.then(|| self.point_estimate());
         let interval = if has_data {
-            let mut scratch = self.solver.clone();
             self.method
-                .interval_stateful(&self.state, self.cfg.alpha, &mut scratch)
+                .interval_stateful(&self.state, self.cfg.alpha, &self.solver)
                 .ok()
         } else {
             None
@@ -685,7 +684,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         } else {
             let interval =
                 self.method
-                    .interval_stateful(&self.state, self.cfg.alpha, &mut self.solver)?;
+                    .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
             let mu = self.point_estimate();
             self.finish(mu, interval, StopReason::StreamExhausted, false, false);
         }
@@ -771,11 +770,9 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                         &self.solver,
                     );
                 if construct {
-                    let interval = self.method.interval_stateful(
-                        &self.state,
-                        self.cfg.alpha,
-                        &mut self.solver,
-                    )?;
+                    let interval =
+                        self.method
+                            .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
                     if interval.moe() <= self.cfg.epsilon {
                         let mu = self.point_estimate();
                         self.finish(mu, interval, StopReason::MoeSatisfied, true, at_floor);
@@ -812,7 +809,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         if budget_spent {
             let interval =
                 self.method
-                    .interval_stateful(&self.state, self.cfg.alpha, &mut self.solver)?;
+                    .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
             let mu = self.point_estimate();
             self.finish(mu, interval, StopReason::BudgetExhausted, false, false);
         }
@@ -918,21 +915,17 @@ pub(crate) fn method_fingerprint_matches(
     Ok(matches)
 }
 
-/// Encodes a solver's dynamic state (tracked counts, warm starts,
-/// posteriors) in the canonical session-snapshot layout.
+/// Encodes a solver's dynamic state (tracked counts, posteriors) in the
+/// canonical session-snapshot layout. The field between them is
+/// reserved: it once carried per-prior solver warm starts and is now
+/// always written as the prior count followed by that many absent
+/// entries.
 pub(crate) fn write_solver(w: &mut Writer, solver: &MethodState) {
     w.u64(solver.tracked.0);
     w.u64(solver.tracked.1);
-    w.u32(solver.warm.len() as u32);
-    for warm in &solver.warm {
-        match warm {
-            Some((lo, hi)) => {
-                w.bool(true);
-                w.f64(*lo);
-                w.f64(*hi);
-            }
-            None => w.bool(false),
-        }
+    w.u32(solver.posteriors.len() as u32);
+    for _ in &solver.posteriors {
+        w.bool(false);
     }
     w.u32(solver.posteriors.len() as u32);
     for post in &solver.posteriors {
@@ -943,20 +936,19 @@ pub(crate) fn write_solver(w: &mut Writer, solver: &MethodState) {
 }
 
 /// Decodes a solver state written by [`write_solver`], validating the
-/// vector lengths against the method's prior count.
+/// vector lengths against the method's prior count. Entries present in
+/// the reserved warm-start field (written by older releases) are decoded
+/// and discarded.
 pub(crate) fn read_solver(r: &mut Reader<'_>, priors: usize) -> Result<MethodState, &'static str> {
     let tracked = (r.u64()?, r.u64()?);
-    let warm_len = r.u32()? as usize;
-    if warm_len != priors {
+    if r.u32()? as usize != priors {
         return Err("warm-start count mismatch");
     }
-    let mut warm = Vec::with_capacity(warm_len);
-    for _ in 0..warm_len {
-        warm.push(if r.bool()? {
-            Some((r.f64()?, r.f64()?))
-        } else {
-            None
-        });
+    for _ in 0..priors {
+        if r.bool()? {
+            r.f64()?;
+            r.f64()?;
+        }
     }
     let post_len = r.u32()? as usize;
     if post_len != priors {
@@ -969,7 +961,6 @@ pub(crate) fn read_solver(r: &mut Reader<'_>, priors: usize) -> Result<MethodSta
             .push(Beta::from_raw_parts(a, b, ln_norm).map_err(|_| "invalid posterior parameters")?);
     }
     Ok(MethodState {
-        warm,
         posteriors,
         tracked,
         kernel: None,

@@ -1,9 +1,9 @@
 //! The defining contract of the certified multi-step lookahead: across
 //! seeds, datasets, and all four sampling designs, the lookahead loop
-//! halts at the *same* unit, with the *same* sample and (up to solver
-//! warm-start noise far below any decision threshold) the *same*
-//! interval, as a reference loop that constructs and checks the interval
-//! after every annotated unit (paper Figure 1, literal).
+//! halts at the *same* unit, with the *same* sample and the *same*
+//! interval bits, as a reference loop that constructs and checks the
+//! interval after every annotated unit (paper Figure 1, literal). Both
+//! loops call one pure HPD solver, so the final interval cannot differ.
 
 use kgae_core::{
     evaluate, EvalConfig, EvalResult, IntervalMethod, OracleAnnotator, SamplingDesign,
@@ -107,12 +107,11 @@ proptest! {
             (lookahead.cost_seconds - reference.cost_seconds).abs() < 1e-9,
             "cost differs"
         );
-        // The final intervals come from the same posterior; the only
-        // admissible difference is SLSQP warm-start noise, orders of
-        // magnitude below the ε-comparison that drives stopping.
-        prop_assert!(
-            (lookahead.interval.lower() - reference.interval.lower()).abs() < 1e-9
-                && (lookahead.interval.upper() - reference.interval.upper()).abs() < 1e-9,
+        // The final intervals come from the same posterior through the
+        // same pure solver, so they agree bit for bit.
+        prop_assert_eq!(
+            (lookahead.interval.lower().to_bits(), lookahead.interval.upper().to_bits()),
+            (reference.interval.lower().to_bits(), reference.interval.upper().to_bits()),
             "{} / {}: interval {} vs {}",
             method.name(), design.name(), lookahead.interval, reference.interval
         );

@@ -253,7 +253,7 @@ fn batched_sessions_pin_the_benchmark_cell() {
 fn snapshot_round_trip_mid_evaluation_is_exactly_resumable() {
     // Deterministic, non-property variant for quick failure isolation:
     // suspend after every batch on a cluster design (label cache, PPS
-    // table, Welford moments and warm starts all in play).
+    // table and Welford moments all in play).
     let kg = kgae_graph::datasets::factbench();
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();

@@ -1,14 +1,16 @@
 //! Highest Posterior Density (HPD) credible intervals (paper §4.3).
 //!
 //! The `1-α` HPD interval is the *shortest* interval with posterior mass
-//! `1-α` (Theorem 1) and is unique (Theorem 2). Cases by posterior shape:
+//! `1-α` (Theorem 1) and is unique (Theorem 2), so one solver serves
+//! every caller. Cases by posterior shape:
 //!
-//! * **Unimodal** (`α > 1, β > 1`, the standard case `0 < τ < n`):
-//!   solved as the paper does — SLSQP minimizing `u - l` under
-//!   `F(u) - F(l) = 1 - α` with the ET interval as the initial guess —
-//!   plus an independent exact solver ([`hpd_interval_exact`]) based on
-//!   the density-equality first-order condition `f(l) = f(u)` and Brent
-//!   root finding, used for cross-validation.
+//! * **Unimodal** (`α > 1, β > 1`, the standard case `0 < τ < n`): the
+//!   paper states the problem as a constrained minimization of `u - l`
+//!   under `F(u) - F(l) = 1 - α` and solves it with SLSQP. Its unique
+//!   optimum satisfies the first-order condition `f(l) = f(u)`, which is
+//!   solved here in one dimension by Brent root finding. The solve is a
+//!   pure function of the posterior, so repeated calls return the same
+//!   bits. The paper's SLSQP formulation survives as a test oracle.
 //! * **Monotone increasing** (all-correct limiting case, Eq. 10):
 //!   `[qBeta(α), 1]`.
 //! * **Monotone decreasing** (all-incorrect limiting case, Eq. 11):
@@ -22,15 +24,11 @@ use crate::error::IntervalError;
 use crate::et::{check_alpha, et_interval};
 use crate::types::Interval;
 use kgae_optim::root::{brent, RootConfig};
-use kgae_optim::slsqp::{slsqp, Problem, SlsqpConfig};
 use kgae_stats::dist::{Beta, BetaShape};
 
-/// Computes the `1-α` HPD interval by the paper's method (SLSQP with ET
-/// warm start in the standard case, closed forms in the limiting cases).
-///
-/// Falls back to the exact Brent solver if SLSQP fails to converge —
-/// this keeps the evaluation loop total while preserving the paper's
-/// computational pathway in the overwhelmingly common case.
+/// Computes the `1-α` HPD interval: Brent on the density-equality
+/// condition in the standard unimodal case, closed forms Eq. 10/11 in the
+/// limiting cases.
 pub fn hpd_interval(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     check_alpha(alpha)?;
     match posterior.shape() {
@@ -41,46 +39,7 @@ pub fn hpd_interval(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalEr
             alpha: posterior.alpha(),
             beta: posterior.beta(),
         }),
-        BetaShape::Unimodal => match unimodal_slsqp(posterior, alpha) {
-            Ok(i) => Ok(i),
-            Err(_) => unimodal_exact(posterior, alpha),
-        },
-    }
-}
-
-/// [`hpd_interval`] with an optional warm start for the SLSQP path.
-///
-/// The evaluation framework recomputes the HPD interval after every
-/// annotation; consecutive posteriors differ by one observation, so the
-/// previous solution is an excellent initial iterate. SLSQP converges to
-/// the *unique* HPD optimum (Theorem 2) from any interior start, so the
-/// result is identical to the cold-started one within tolerance — this
-/// is purely a constant-factor optimization.
-///
-/// Without a usable warm start the *exact* Brent solver is used instead
-/// of cold SLSQP: on the strongly skewed posteriors high-accuracy KGs
-/// produce, SLSQP from the ET initial guess can burn its whole iteration
-/// budget before the fallback fires (~60× the Brent cost, see the
-/// `hpd_solvers` bench), while Theorem 2 guarantees both land on the
-/// same optimum.
-pub fn hpd_interval_warm(
-    posterior: &Beta,
-    alpha: f64,
-    warm: Option<(f64, f64)>,
-) -> Result<Interval, IntervalError> {
-    check_alpha(alpha)?;
-    match posterior.shape() {
-        BetaShape::Unimodal => {
-            if let Some((l, u)) = warm {
-                if l >= 0.0 && u <= 1.0 && l < u {
-                    if let Ok(i) = unimodal_slsqp_from(posterior, alpha, l, u) {
-                        return Ok(i);
-                    }
-                }
-            }
-            unimodal_exact(posterior, alpha)
-        }
-        _ => hpd_interval(posterior, alpha),
+        BetaShape::Unimodal => unimodal_case(posterior, alpha),
     }
 }
 
@@ -182,23 +141,6 @@ pub fn hpd_width_achievable(post: &Beta, alpha: f64, w: f64) -> bool {
     }
 }
 
-/// Computes the `1-α` HPD interval with the exact solver only (Brent on
-/// the density-equality condition). Same closed forms for the limiting
-/// cases. Used by tests and benchmarks to cross-validate the SLSQP path.
-pub fn hpd_interval_exact(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
-    check_alpha(alpha)?;
-    match posterior.shape() {
-        BetaShape::Increasing => increasing_case(posterior, alpha),
-        BetaShape::Decreasing => decreasing_case(posterior, alpha),
-        BetaShape::Uniform => et_interval(posterior, alpha),
-        BetaShape::UShaped => Err(IntervalError::UShapedPosterior {
-            alpha: posterior.alpha(),
-            beta: posterior.beta(),
-        }),
-        BetaShape::Unimodal => unimodal_exact(posterior, alpha),
-    }
-}
-
 /// Eq. 10: exponentially increasing posterior (τ = n under an
 /// uninformative prior) — the highest-density region abuts 1.
 fn increasing_case(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
@@ -211,82 +153,12 @@ fn decreasing_case(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     Ok(Interval::new(0.0, post.quantile(1.0 - alpha)?))
 }
 
-/// The constrained minimization of Theorem 1 solved with SLSQP, using
-/// analytic gradients (the constraint gradient is the posterior density).
-struct HpdProblem<'a> {
-    post: &'a Beta,
-    alpha: f64,
-}
-
-impl Problem for HpdProblem<'_> {
-    fn dims(&self) -> (usize, usize) {
-        (2, 1)
-    }
-    fn objective(&self, x: &[f64]) -> f64 {
-        x[1] - x[0]
-    }
-    fn objective_grad(&self, _x: &[f64], grad: &mut [f64]) {
-        grad[0] = -1.0;
-        grad[1] = 1.0;
-    }
-    fn constraints(&self, x: &[f64], out: &mut [f64]) {
-        out[0] = self.post.cdf(x[1]) - self.post.cdf(x[0]) - (1.0 - self.alpha);
-    }
-    fn constraints_jac(&self, x: &[f64], jac: &mut [f64]) {
-        jac[0] = -self.post.pdf(x[0]);
-        jac[1] = self.post.pdf(x[1]);
-    }
-}
-
-fn unimodal_slsqp(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
-    // The ET interval is the paper's initial guess (Algorithm 1 line 20).
-    let guess = et_interval(post, alpha)?;
-    unimodal_slsqp_from(post, alpha, guess.lower(), guess.upper())
-}
-
-fn unimodal_slsqp_from(
-    post: &Beta,
-    alpha: f64,
-    l0: f64,
-    u0: f64,
-) -> Result<Interval, IntervalError> {
-    let problem = HpdProblem { post, alpha };
-    // 40 iterations is ~3× what a converging run ever needs here; a run
-    // that hasn't converged by then never will (extreme-skew posteriors
-    // with far-off warm starts), and the exact Brent fallback is both
-    // correct (Theorem 2: same unique optimum) and faster than letting
-    // SLSQP burn a large budget first.
-    let cfg = SlsqpConfig {
-        max_iter: 40,
-        ..SlsqpConfig::default()
-    };
-    let sol = slsqp(&problem, &[l0, u0], &[0.0, 0.0], &[1.0, 1.0], &cfg)?;
-    if !sol.converged || sol.constraint_violation > 1e-8 {
-        return Err(IntervalError::Optim(
-            kgae_optim::OptimError::NoConvergence {
-                algorithm: "slsqp-hpd",
-                iterations: sol.iterations,
-            },
-        ));
-    }
-    let (l, u) = (sol.x[0].clamp(0.0, 1.0), sol.x[1].clamp(0.0, 1.0));
-    if l > u {
-        return Err(IntervalError::Optim(
-            kgae_optim::OptimError::NoConvergence {
-                algorithm: "slsqp-hpd",
-                iterations: sol.iterations,
-            },
-        ));
-    }
-    Ok(Interval::new(l, u))
-}
-
-/// Exact solver: the optimal interior interval satisfies `f(l) = f(u)`
+/// The standard case: the optimal interior interval satisfies `f(l) = f(u)`
 /// with `u(l) = F⁻¹(F(l) + 1 - α)` (first-order conditions of Theorem 1's
 /// Lagrangian). `h(l) = f(l) - f(u(l))` brackets a sign change over
 /// `[0, F⁻¹(α)]` for any unimodal posterior, so Brent converges
 /// unconditionally.
-fn unimodal_exact(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
+fn unimodal_case(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     let l_max = post.quantile(alpha)?;
     let h = |l: f64| {
         let fl = post.cdf(l);
@@ -326,7 +198,12 @@ fn unimodal_exact(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/slsqp_oracle.rs"]
+mod slsqp_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::slsqp_oracle::slsqp_hpd;
     use super::*;
     use crate::prior::BetaPrior;
 
@@ -390,18 +267,31 @@ mod tests {
 
     #[test]
     fn slsqp_and_exact_solvers_agree() {
+        // Theorem 2 (uniqueness): wherever the paper's SLSQP formulation
+        // converges, it lands on the density-equality solver's interval.
+        let (mut total, mut checked) = (0, 0);
         for post in posterior_grid() {
             for &alpha in &[0.10, 0.05, 0.01] {
-                let a = hpd_interval(&post, alpha).unwrap();
-                let b = hpd_interval_exact(&post, alpha).unwrap();
+                total += 1;
+                let Some((l, u)) = slsqp_hpd(&post, alpha) else {
+                    continue;
+                };
+                checked += 1;
+                let b = hpd_interval(&post, alpha).unwrap();
                 assert!(
-                    (a.lower() - b.lower()).abs() < 1e-6 && (a.upper() - b.upper()).abs() < 1e-6,
-                    "Beta({}, {}), α={alpha}: slsqp={a}, exact={b}",
+                    (l - b.lower()).abs() < 1e-6 && (u - b.upper()).abs() < 1e-6,
+                    "Beta({}, {}), α={alpha}: slsqp=[{l}, {u}], exact={b}",
                     post.alpha(),
                     post.beta()
                 );
             }
         }
+        // SLSQP stalls on many strongly skewed posteriors; it must still
+        // converge on at least half of the grid for the check to bite.
+        assert!(
+            2 * checked >= total,
+            "SLSQP converged on {checked} of {total}"
+        );
     }
 
     #[test]
@@ -535,43 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_reproduces_cold_start() {
-        // Theorem 2 (uniqueness) in practice: warm-started SLSQP lands on
-        // the same interval, from good and from sloppy warm starts.
-        for post in posterior_grid() {
-            let cold = hpd_interval(&post, 0.05).unwrap();
-            for warm in [
-                Some((cold.lower(), cold.upper())),
-                Some((
-                    (cold.lower() - 0.05).max(0.0),
-                    (cold.upper() + 0.05).min(1.0),
-                )),
-                Some((0.3, 0.6)),
-                None,
-            ] {
-                let w = hpd_interval_warm(&post, 0.05, warm).unwrap();
-                assert!(
-                    (w.lower() - cold.lower()).abs() < 1e-6
-                        && (w.upper() - cold.upper()).abs() < 1e-6,
-                    "Beta({}, {}), warm {warm:?}: {w} vs {cold}",
-                    post.alpha(),
-                    post.beta()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_warm_start_falls_back() {
-        let post = BetaPrior::KERMAN.posterior(27, 30);
-        let cold = hpd_interval(&post, 0.05).unwrap();
-        for warm in [Some((0.9, 0.1)), Some((-0.5, 0.5)), Some((0.2, 1.7))] {
-            let w = hpd_interval_warm(&post, 0.05, warm).unwrap();
-            assert!((w.lower() - cold.lower()).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn width_lower_bound_is_valid_and_useful() {
         for post in posterior_grid() {
             let Some(lb) = hpd_width_lower_bound(&post, 0.05) else {
@@ -594,24 +447,18 @@ mod tests {
     fn near_degenerate_shape_parameters_anchor_to_the_boundary() {
         // Beta(5, 1.1): interior mode at ~0.976 but the density falls to
         // zero only within ~1e-10 of x = 1; the HPD is boundary-anchored
-        // at double precision. Both solver paths must return it without
+        // at double precision. The solver must return it without
         // erroring, with exact coverage.
         for (a, b) in [(5.0, 1.1), (1.1, 5.0), (3.0, 1.02), (1.05, 1.8)] {
             let post = Beta::new(a, b).unwrap();
-            let i = hpd_interval(&post, 0.05).unwrap();
-            let e = hpd_interval_exact(&post, 0.05).unwrap();
-            for (label, iv) in [("dispatch", i), ("exact", e)] {
-                let mass = post.cdf(iv.upper()) - post.cdf(iv.lower());
-                assert!(
-                    (mass - 0.95).abs() < 1e-6,
-                    "Beta({a},{b}) {label}: coverage {mass}"
-                );
-                let et = et_interval(&post, 0.05).unwrap();
-                assert!(
-                    iv.width() <= et.width() + 1e-6,
-                    "Beta({a},{b}) {label}: wider than ET"
-                );
-            }
+            let iv = hpd_interval(&post, 0.05).unwrap();
+            let mass = post.cdf(iv.upper()) - post.cdf(iv.lower());
+            assert!((mass - 0.95).abs() < 1e-6, "Beta({a},{b}): coverage {mass}");
+            let et = et_interval(&post, 0.05).unwrap();
+            assert!(
+                iv.width() <= et.width() + 1e-6,
+                "Beta({a},{b}): wider than ET"
+            );
         }
     }
 

@@ -39,7 +39,7 @@
 use crate::error::IntervalError;
 use crate::et::et_interval;
 use crate::frequentist::wilson;
-use crate::hpd::{hpd_interval_exact, hpd_width_achievable, hpd_width_lower_bound};
+use crate::hpd::{hpd_interval, hpd_width_achievable, hpd_width_lower_bound};
 use crate::prior::BetaPrior;
 use crate::types::Interval;
 use std::collections::HashMap;
@@ -60,7 +60,7 @@ const DEFAULT_CAPACITY: usize = 1 << 18;
 /// `(prior, α, τ, n)` coordinate can hold every kernel's output at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
-    /// [`hpd_interval_exact`] over the count posterior.
+    /// [`hpd_interval`] over the count posterior.
     Hpd,
     /// [`et_interval`] over the count posterior.
     Et,
@@ -261,7 +261,7 @@ impl KernelCache {
 ///
 /// # Errors
 ///
-/// Propagates [`hpd_interval_exact`] failures — notably
+/// Propagates [`hpd_interval`] failures — notably
 /// [`IntervalError::UShapedPosterior`] at `τ = n = 0` under a
 /// sub-uniform prior.
 pub fn solve_hpd_by_counts(
@@ -270,7 +270,7 @@ pub fn solve_hpd_by_counts(
     n: u64,
     alpha: f64,
 ) -> Result<Interval, IntervalError> {
-    hpd_interval_exact(&prior.posterior(tau, n), alpha)
+    hpd_interval(&prior.posterior(tau, n), alpha)
 }
 
 /// The `1-α` equal-tailed interval of the count posterior.

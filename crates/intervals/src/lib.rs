@@ -6,11 +6,10 @@
 //!   (§3.1), [`wilson`] (§3.2), plus [`agresti_coull`] and
 //!   [`clopper_pearson`] as extra baselines for the coverage ablation;
 //! * Bayesian credible intervals on the conjugate Beta–Binomial model —
-//!   [`et_interval`] (§4.2) and [`hpd_interval`] (§4.3, computed the way
-//!   the paper computes it: SLSQP with the ET interval as warm start, and
-//!   closed forms Eq. 10/11 in the limiting cases);
-//! * [`hpd_interval_exact`] — an independent Brent-based solver for the
-//!   same optimum, used to cross-validate SLSQP in tests and benches;
+//!   [`et_interval`] (§4.2) and [`hpd_interval`] (§4.3: Brent root
+//!   finding on the density-equality condition of the paper's
+//!   constrained minimization, and closed forms Eq. 10/11 in the
+//!   limiting cases; the paper's SLSQP solve is kept as a test oracle);
 //! * [`BetaPrior`] — Kerman / Jeffreys / Uniform uninformative priors and
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;
@@ -46,10 +45,7 @@ pub use et::et_interval;
 pub use frequentist::{
     agresti_coull, clopper_pearson, wald_from_variance, wald_srs, wilson, z_critical,
 };
-pub use hpd::{
-    hpd_interval, hpd_interval_exact, hpd_interval_warm, hpd_width_achievable,
-    hpd_width_lower_bound,
-};
+pub use hpd::{hpd_interval, hpd_width_achievable, hpd_width_lower_bound};
 pub use kernel::{Kernel, KernelCache, KernelCacheStats};
 pub use pooled::{pooled_interval, pooled_point, pooled_variance, StratumSummary};
 pub use prior::BetaPrior;

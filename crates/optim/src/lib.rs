@@ -5,15 +5,16 @@
 //! The paper computes Highest Posterior Density intervals by minimizing the
 //! interval width `u - l` under the coverage constraint
 //! `F(u) - F(l) = 1 - α` with both endpoints bounded to `[0, 1]`, using the
-//! SLSQP sequential-quadratic-programming method (Kraft 1988). This crate
-//! provides:
+//! SLSQP sequential-quadratic-programming method (Kraft 1988). The runtime
+//! solves the equivalent first-order condition in one dimension instead.
+//! This crate provides:
 //!
+//! * [`root`] — bracketed root finding (bisection and Brent), the engine
+//!   of the HPD solver and of its width-achievability certificate;
 //! * [`slsqp`] — a dense SQP solver for small smooth problems with equality
 //!   constraints and box bounds (damped BFGS Hessian approximation,
-//!   primal active-set QP subproblems, L1-merit backtracking line search);
-//! * [`root`] — bracketed root finding (bisection and Brent), used for the
-//!   independent "exact" HPD solver that cross-validates SLSQP;
-//! * [`minimize1d`] — derivative-free 1-D minimization (Brent);
+//!   primal active-set QP subproblems, L1-merit backtracking line search),
+//!   kept so the paper's formulation can serve as a test oracle;
 //! * [`linalg`] — the small dense LU factorization backing the QP solves.
 //!
 //! Everything is `f64`, allocation-light, and panic-free on valid input.
@@ -32,7 +33,6 @@
 #![warn(clippy::all)]
 
 pub mod linalg;
-pub mod minimize1d;
 pub mod root;
 pub mod slsqp;
 

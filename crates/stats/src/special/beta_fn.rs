@@ -4,7 +4,7 @@
 //! variable; `betainc_inv` is its quantile. These two routines carry the
 //! whole Bayesian side of the paper: ET intervals are two quantile
 //! evaluations (Eq. 9), the HPD limiting cases are one (Eq. 10/11), and the
-//! SLSQP constraint function evaluates the CDF at every iterate.
+//! unimodal HPD solver pairs a CDF and a quantile at every Brent iterate.
 //!
 //! Implementation follows the classic continued-fraction scheme (modified
 //! Lentz) with a Gauss–Legendre quadrature path for very large parameters,

@@ -10,7 +10,8 @@
 //! This façade crate re-exports the whole workspace:
 //!
 //! * [`stats`] — special functions, distributions, t-tests;
-//! * [`optim`] — SLSQP and Brent solvers behind the HPD optimizer;
+//! * [`optim`] — Brent root finding behind the HPD solver, and the
+//!   paper's SLSQP method;
 //! * [`graph`] — KG model, compact storage, Table-1 dataset twins;
 //! * [`sampling`] — SRS / TWCS / WCS / SCS with unbiased estimators and
 //!   Kish design effects;

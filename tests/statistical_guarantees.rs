@@ -3,7 +3,10 @@
 //! through the sampling pipeline, and credible-interval coverage through
 //! the whole evaluation loop.
 
-use kgae::intervals::{et_interval, hpd_interval, hpd_interval_exact, BetaPrior};
+#[path = "../crates/intervals/tests/support/slsqp_oracle.rs"]
+mod slsqp_oracle;
+
+use kgae::intervals::{et_interval, hpd_interval, BetaPrior};
 use kgae::prelude::*;
 use kgae_core::repeat_evaluation;
 use proptest::prelude::*;
@@ -11,22 +14,33 @@ use rand::SeedableRng;
 
 #[test]
 fn theorem_1_and_2_hpd_is_shortest_and_unique_across_the_posterior_space() {
-    // Sweep posteriors the framework actually produces and verify both
-    // solver paths agree (uniqueness) and never exceed ET (minimality).
+    // Sweep posteriors the framework actually produces and verify the
+    // solver agrees with the paper's SLSQP formulation wherever that
+    // converges (uniqueness) and never exceeds ET (minimality).
+    let (mut total, mut checked) = (0, 0);
     for prior in BetaPrior::UNINFORMATIVE {
         for n in [30u64, 100, 380] {
             for tau_frac in [0.0, 0.1, 0.5, 0.85, 0.99, 1.0] {
                 let tau = ((n as f64) * tau_frac).round() as u64;
                 let post = prior.posterior(tau, n);
-                let slsqp = hpd_interval(&post, 0.05).unwrap();
-                let brent = hpd_interval_exact(&post, 0.05).unwrap();
+                let brent = hpd_interval(&post, 0.05).unwrap();
                 let et = et_interval(&post, 0.05).unwrap();
-                assert!((slsqp.lower() - brent.lower()).abs() < 1e-6);
-                assert!((slsqp.upper() - brent.upper()).abs() < 1e-6);
-                assert!(slsqp.width() <= et.width() + 1e-9);
+                assert!(brent.width() <= et.width() + 1e-9);
+                total += 1;
+                if let Some((l, u)) = slsqp_oracle::slsqp_hpd(&post, 0.05) {
+                    checked += 1;
+                    assert!((l - brent.lower()).abs() < 1e-6);
+                    assert!((u - brent.upper()).abs() < 1e-6);
+                }
             }
         }
     }
+    // SLSQP stalls on the limiting and strongly skewed posteriors; it
+    // must still converge on at least a third of the sweep.
+    assert!(
+        3 * checked >= total,
+        "SLSQP converged on {checked} of {total}"
+    );
 }
 
 #[test]
