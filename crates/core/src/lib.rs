@@ -44,8 +44,7 @@
 //! | [`annotator`] | oracle / noisy / majority-vote panels (§6.5) |
 //! | [`runner`] | 1000-repetition parallel harness + t-tests |
 //! | [`coverage`] | exact fixed-n coverage probabilities (§3.3 ablation) |
-//! | [`dynamic`] | carryover-prior kernel (§8); one-shot driver deprecated for [`monitor`] |
-//! | [`monitor`] | continuous monitoring engine over KG delta batches |
+//! | [`monitor`] | continuous monitoring engine over KG delta batches; carryover priors (§8) |
 //! | [`report`] | table rendering for the experiment binaries |
 
 #![deny(missing_docs)]
@@ -56,7 +55,6 @@ pub mod annotator;
 pub mod comparative;
 pub mod cost;
 pub mod coverage;
-pub mod dynamic;
 pub mod engine;
 pub mod framework;
 pub mod method;

@@ -34,11 +34,13 @@
 //! If the mixture's HPD interval still meets the MoE target the monitor
 //! keeps watching — the update cost **zero** annotations. Otherwise it
 //! re-opens a campaign seeded with the surviving posterior as an
-//! informative prior via [`posterior_as_prior`] (evidence capped at
+//! informative prior (its mean kept, its evidence capped at
 //! `carry_weight` pseudo-observations and never inflated past the
 //! evidence actually held), hedged by the standard uninformative priors
-//! against deceptive updates — the aHPD carryover mechanism of
-//! [`crate::dynamic`], now running inside the engine world.
+//! against deceptive updates — the aHPD carryover mechanism the paper
+//! sketches for evolving KGs (§8): reliable prior knowledge speeds
+//! convergence, while the hedges keep the certificate honest when an
+//! update changed the accuracy drastically.
 //!
 //! A delta-free monitor is **bit-identical** to a plain
 //! [`EvaluationSession`] with the same seed/method/config (property
@@ -51,7 +53,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::dynamic::posterior_as_prior;
 use crate::engine::{EngineKind, EngineOutcome, EngineRequest, SessionEngine, SessionStatusView};
 use crate::framework::{EvalConfig, PreparedDesign, SamplingDesign};
 use crate::method::IntervalMethod;
@@ -62,7 +63,7 @@ use crate::session::{
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::hash::mix2;
 use kgae_graph::{DeltaKg, KnowledgeGraph, StableId};
-use kgae_intervals::{hpd_interval, BetaPrior, Interval};
+use kgae_intervals::{hpd_interval, BetaPrior, Interval, IntervalError};
 use kgae_stats::dist::Beta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -187,6 +188,30 @@ struct Appraisal {
     interval: Interval,
     prior_a: f64,
     prior_b: f64,
+}
+
+/// Rescales a posterior into a prior with a chosen evidence weight.
+///
+/// The posterior `Beta(A, B)` carries `A + B` pseudo-observations; the
+/// carried-over prior keeps the posterior *mean* but caps the evidence at
+/// `equivalent_n` pseudo-observations, so stale knowledge cannot drown
+/// out fresh annotations. `equivalent_n = A + B` reproduces the raw
+/// posterior.
+fn posterior_as_prior(posterior: &Beta, equivalent_n: f64) -> Result<BetaPrior, IntervalError> {
+    if !(equivalent_n.is_finite() && equivalent_n > 0.0) {
+        return Err(IntervalError::Stats(
+            kgae_stats::StatsError::InvalidParameter {
+                name: "equivalent_n",
+                value: equivalent_n,
+                constraint: "must be finite and > 0",
+            },
+        ));
+    }
+    let mean = posterior.mean();
+    Ok(BetaPrior::informative(
+        (mean * equivalent_n).max(1e-6),
+        ((1.0 - mean) * equivalent_n).max(1e-6),
+    )?)
 }
 
 /// The long-lived continuous-monitoring engine. See the module docs
@@ -1041,6 +1066,128 @@ mod tests {
             guard += 1;
             assert!(guard < 10_000, "campaign failed to converge");
         }
+    }
+
+    #[test]
+    fn posterior_as_prior_preserves_mean_and_caps_weight() {
+        let post = Beta::new(180.0, 20.0).unwrap(); // mean 0.9, weight 200
+        let prior = posterior_as_prior(&post, 50.0).unwrap();
+        assert!((prior.a / (prior.a + prior.b) - 0.9).abs() < 1e-12);
+        assert!((prior.a + prior.b - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rejects_bad_weight() {
+        let post = Beta::new(2.0, 2.0).unwrap();
+        assert!(posterior_as_prior(&post, 0.0).is_err());
+        assert!(posterior_as_prior(&post, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn matching_drift_recertifies_cheaper_than_a_fresh_campaign() {
+        // A cleanup pass prunes half of NELL and lands a small batch of
+        // equally accurate facts: the accuracy stays put, but the pruned
+        // ledger no longer certifies the MoE. The carried posterior
+        // should re-certify with fewer labels than a cold aHPD campaign
+        // (Example 2's mechanism). The cold campaign replays the re-opened
+        // campaign's own stream over an identical view, so the carried
+        // prior is the only difference between the two.
+        let kg = kgae_graph::datasets::nell(); // μ = 0.91
+        let method = IntervalMethod::ahpd_default();
+        let cfg = EvalConfig::default();
+        let drift = DeltaBatch {
+            predicate: None,
+            removes: (0..900).collect(),
+            adds: (0..100).map(|k| k % 10 != 0).collect(),
+        };
+        let mut truth = DeltaKg::with_truth(&kg, &kg);
+        truth.apply(&drift.removes, &drift.adds).unwrap();
+        assert!((truth.true_accuracy() - kg.true_accuracy()).abs() < 0.03);
+
+        let (mut carried, mut fresh) = (Vec::new(), Vec::new());
+        for seed in 0..15 {
+            let mut monitor = MonitorSession::new(&kg, &method, &cfg, 50.0, seed);
+            drive_to_watching(&mut monitor, &kg, 16);
+            let outcome = monitor.apply_deltas(&drift).unwrap();
+            assert!(outcome.reopened, "seed {seed}: the drift must re-open");
+            let before = monitor.status().primary.annotated_triples;
+            drive_to_watching(&mut monitor, &truth, 1);
+            carried.push((monitor.status().primary.annotated_triples - before) as f64);
+
+            let mut rng = SmallRng::seed_from_u64(mix2(seed, outcome.epoch));
+            let cold = crate::framework::evaluate(
+                &truth,
+                &crate::annotator::OracleAnnotator,
+                SamplingDesign::Srs,
+                &method,
+                &cfg,
+                &mut rng,
+            )
+            .unwrap();
+            fresh.push(cold.annotated_triples as f64);
+        }
+        let mc = kgae_stats::descriptive::mean(&carried);
+        let mf = kgae_stats::descriptive::mean(&fresh);
+        assert!(mc < mf, "carryover should reduce annotations: {mc} vs {mf}");
+    }
+
+    #[test]
+    fn deceptive_drift_reopens_and_converges_to_the_truth() {
+        // The failure mode the paper warns about (§8): the carried
+        // knowledge says ≈ 0.54, but the update strips fifteen in every
+        // sixteen correct triples the campaign did not label, leaving a
+        // view near 0.13. Half the ledger goes too, so the certificate
+        // degrades and annotation re-opens under a strongly wrong
+        // carried prior. The uninformative hedges must keep the
+        // estimate and the certified interval on the post-delta truth.
+        let kg = kgae_graph::datasets::factbench(); // μ = 0.54
+        let method = IntervalMethod::ahpd_default();
+        let cfg = EvalConfig::default();
+        let mut covered = 0;
+        for seed in 0..10 {
+            let mut monitor = MonitorSession::new(&kg, &method, &cfg, 50.0, seed);
+            drive_to_watching(&mut monitor, &kg, 16);
+            let labeled: Vec<u64> = monitor
+                .ledger
+                .keys()
+                .map(|id| match id {
+                    StableId::Base(b) => *b,
+                    StableId::Added(_) => unreachable!("no additions yet"),
+                })
+                .collect();
+            let mut removes: Vec<u64> = (0..kg.num_triples())
+                .filter(|&t| {
+                    t % 16 != 0
+                        && labeled.binary_search(&t).is_err()
+                        && kg.is_correct(kgae_graph::TripleId(t))
+                })
+                .collect();
+            removes.extend(labeled.iter().step_by(2));
+            let drift = DeltaBatch {
+                predicate: None,
+                removes,
+                adds: vec![],
+            };
+            let mut truth = DeltaKg::with_truth(&kg, &kg);
+            truth.apply(&drift.removes, &drift.adds).unwrap();
+            let mu = truth.true_accuracy();
+            assert!(kg.true_accuracy() - mu >= 0.3, "accuracy drop too small");
+
+            let outcome = monitor.apply_deltas(&drift).unwrap();
+            assert!(outcome.reopened, "seed {seed}: the drift must re-open");
+            drive_to_watching(&mut monitor, &truth, 16);
+            let status = monitor.status().primary;
+            let estimate = status.estimate.unwrap();
+            let interval = status.interval.unwrap();
+            assert!(
+                (estimate - mu).abs() < 0.08,
+                "seed {seed}: μ̂ = {estimate} should be near {mu}"
+            );
+            covered += usize::from(interval.contains(mu));
+        }
+        // 95 % credible intervals: allow two misses in ten. A carried
+        // prior left unhedged biases every interval toward 0.54.
+        assert!(covered >= 8, "only {covered}/10 intervals cover the truth");
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! ```
 
 use crate::alias::AliasTable;
+use crate::distinct::IncrementalWithoutReplacement;
 use crate::extra::{ScsSampler, WcsSampler};
 use crate::srs::{SampledTriple, SrsSampler};
 use crate::twcs::{pps_by_size_table, TwcsSampler};
@@ -499,6 +500,58 @@ fn expect_consumed(bytes: &[u8], cursor: usize) -> Result<(), DriverStateError> 
     }
 }
 
+/// Encodes a without-replacement stream: `drawn`, then the sorted
+/// displaced table as a length-prefixed list of `(position, value)`.
+fn save_stream(stream: &IncrementalWithoutReplacement, out: &mut Vec<u8>) {
+    push_u64(out, stream.drawn());
+    let entries = stream.displaced_entries();
+    push_u64(out, entries.len() as u64);
+    for (k, v) in entries {
+        push_u64(out, k);
+        push_u64(out, v);
+    }
+}
+
+/// Decodes [`save_stream`] bytes into a stream over `population`
+/// items, range-checking every field before rebuilding it.
+fn restore_stream(
+    bytes: &[u8],
+    population: u64,
+) -> Result<IncrementalWithoutReplacement, DriverStateError> {
+    let mut cursor = 0;
+    let drawn = read_u64(bytes, &mut cursor)?;
+    if drawn > population {
+        return Err(DriverStateError("drawn exceeds population"));
+    }
+    let len = read_u64(bytes, &mut cursor)?;
+    if len > 2 * drawn {
+        // Each draw displaces at most two positions.
+        return Err(DriverStateError("displaced table larger than draws allow"));
+    }
+    let mut entries = Vec::with_capacity(len as usize);
+    for _ in 0..len {
+        let k = read_u64(bytes, &mut cursor)?;
+        let v = read_u64(bytes, &mut cursor)?;
+        if k >= population || v >= population {
+            return Err(DriverStateError("displaced entry out of range"));
+        }
+        entries.push((k, v));
+    }
+    expect_consumed(bytes, cursor)?;
+    Ok(IncrementalWithoutReplacement::from_saved(
+        population, drawn, &entries,
+    ))
+}
+
+/// Decodes the single `drawn` counter that is the whole state of the
+/// with-replacement designs.
+fn restore_counter(bytes: &[u8]) -> Result<u64, DriverStateError> {
+    let mut cursor = 0;
+    let drawn = read_u64(bytes, &mut cursor)?;
+    expect_consumed(bytes, cursor)?;
+    Ok(drawn)
+}
+
 fn max_cluster_size(kg: &dyn KnowledgeGraph) -> u64 {
     (0..kg.num_clusters())
         .map(|c| kg.cluster_size(ClusterId(c)))
@@ -553,43 +606,12 @@ impl DesignDriver for SrsDriver<'_> {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        let stream = self.sampler.stream();
-        push_u64(out, stream.drawn());
-        let entries = stream.displaced_entries();
-        push_u64(out, entries.len() as u64);
-        for (k, v) in entries {
-            push_u64(out, k);
-            push_u64(out, v);
-        }
+        save_stream(self.sampler.stream(), out);
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        let drawn = read_u64(bytes, &mut cursor)?;
-        if drawn > self.num_triples {
-            return Err(DriverStateError("drawn exceeds population"));
-        }
-        let len = read_u64(bytes, &mut cursor)?;
-        if len > 2 * drawn {
-            // Each draw displaces at most two positions.
-            return Err(DriverStateError("displaced table larger than draws allow"));
-        }
-        let mut entries = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            let k = read_u64(bytes, &mut cursor)?;
-            let v = read_u64(bytes, &mut cursor)?;
-            if k >= self.num_triples || v >= self.num_triples {
-                return Err(DriverStateError("displaced entry out of range"));
-            }
-            entries.push((k, v));
-        }
-        expect_consumed(bytes, cursor)?;
-        self.sampler
-            .restore_stream(crate::distinct::IncrementalWithoutReplacement::from_saved(
-                self.num_triples,
-                drawn,
-                &entries,
-            ));
+        let stream = restore_stream(bytes, self.num_triples)?;
+        self.sampler.restore_stream(stream);
         Ok(())
     }
 }
@@ -661,9 +683,8 @@ impl DesignDriver for TwcsDriver<'_> {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        self.drawn = read_u64(bytes, &mut cursor)?;
-        expect_consumed(bytes, cursor)
+        self.drawn = restore_counter(bytes)?;
+        Ok(())
     }
 }
 
@@ -739,9 +760,8 @@ impl DesignDriver for WcsDriver<'_> {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        self.drawn = read_u64(bytes, &mut cursor)?;
-        expect_consumed(bytes, cursor)
+        self.drawn = restore_counter(bytes)?;
+        Ok(())
     }
 }
 
@@ -835,9 +855,8 @@ impl DesignDriver for ScsDriver<'_> {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        self.drawn = read_u64(bytes, &mut cursor)?;
-        expect_consumed(bytes, cursor)
+        self.drawn = restore_counter(bytes)?;
+        Ok(())
     }
 }
 
@@ -856,7 +875,7 @@ impl DesignDriver for ScsDriver<'_> {
 pub struct StratumSrsDriver<'a> {
     kg: &'a dyn KnowledgeGraph,
     members: Arc<Vec<u64>>,
-    stream: crate::distinct::IncrementalWithoutReplacement,
+    stream: IncrementalWithoutReplacement,
 }
 
 impl<'a> StratumSrsDriver<'a> {
@@ -874,7 +893,7 @@ impl<'a> StratumSrsDriver<'a> {
             members.iter().all(|&t| t < kg.num_triples()),
             "stratum member out of range for the KG"
         );
-        let stream = crate::distinct::IncrementalWithoutReplacement::new(members.len() as u64);
+        let stream = IncrementalWithoutReplacement::new(members.len() as u64);
         Self {
             kg,
             members,
@@ -916,38 +935,11 @@ impl DesignDriver for StratumSrsDriver<'_> {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.stream.drawn());
-        let entries = self.stream.displaced_entries();
-        push_u64(out, entries.len() as u64);
-        for (k, v) in entries {
-            push_u64(out, k);
-            push_u64(out, v);
-        }
+        save_stream(&self.stream, out);
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let population = self.members.len() as u64;
-        let mut cursor = 0;
-        let drawn = read_u64(bytes, &mut cursor)?;
-        if drawn > population {
-            return Err(DriverStateError("drawn exceeds stratum size"));
-        }
-        let len = read_u64(bytes, &mut cursor)?;
-        if len > 2 * drawn {
-            return Err(DriverStateError("displaced table larger than draws allow"));
-        }
-        let mut entries = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            let k = read_u64(bytes, &mut cursor)?;
-            let v = read_u64(bytes, &mut cursor)?;
-            if k >= population || v >= population {
-                return Err(DriverStateError("displaced entry out of range"));
-            }
-            entries.push((k, v));
-        }
-        expect_consumed(bytes, cursor)?;
-        self.stream =
-            crate::distinct::IncrementalWithoutReplacement::from_saved(population, drawn, &entries);
+        self.stream = restore_stream(bytes, self.stratum_size())?;
         Ok(())
     }
 }

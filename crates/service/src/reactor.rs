@@ -38,8 +38,8 @@
 //! writes one byte to the waker, the loop observes the flag on the
 //! same iteration, stops accepting, closes idle connections
 //! immediately and lets in-flight requests finish their response
-//! writes — a no-session drain completes in well under the 1 s
-//! `READ_TICK` the blocking front needed just to notice the flag.
+//! writes — a no-session drain completes in milliseconds, with no
+//! polling tick between the shutdown call and the flag being noticed.
 
 use crate::http::{self, Parsed, RequestParser};
 use crate::metrics::{self, Metrics, RequestLog, Route};
@@ -293,8 +293,7 @@ fn run_workers<F>(
         // Failpoint `conn.write`: the response dies *after* the
         // manager already applied the operation — torn sends a prefix,
         // drop sends nothing, and either way the connection closes, so
-        // the client's lost-response retry path is exercised. Same
-        // site and semantics as the blocking front.
+        // the client's lost-response retry path is exercised.
         #[cfg(feature = "fault-injection")]
         let injected = crate::fault::check(crate::fault::site::CONN_WRITE);
         #[cfg(not(feature = "fault-injection"))]
@@ -657,7 +656,7 @@ impl Loop {
                 // Failpoint `conn.read`: the request is discarded
                 // before it reaches the manager — the client sees a
                 // dead connection and must retry an operation that was
-                // never applied. Same site as the blocking front.
+                // never applied.
                 #[cfg(feature = "fault-injection")]
                 if let Some(action) = crate::fault::check(crate::fault::site::CONN_READ) {
                     match action {

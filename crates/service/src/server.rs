@@ -48,12 +48,6 @@ use std::time::Duration;
 /// progress: idle keep-alive sessions and stalled uploads alike.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Historical shutdown-notice bound of the blocking front, which woke
-/// every connection at this cadence to check the flag. The reactor
-/// needs no tick — the waker delivers shutdown instantly — but the
-/// constant remains the documented upper bound tests hold it to.
-pub const READ_TICK: Duration = Duration::from_secs(1);
-
 /// A bound, not-yet-running server.
 #[derive(Debug)]
 pub struct Server {

@@ -1,11 +1,11 @@
 //! Continuous accuracy monitoring over an evolving KG (paper §8).
 //!
-//! Where `dynamic_kg.rs` re-runs one-shot audits by hand, this example
-//! drives the engine-world version: a long-lived `MonitorSession` that
-//! certifies an interval once, then absorbs KG churn — small updates at
-//! **zero** annotation cost, and a bulk drift by re-opening annotation
-//! seeded with the surviving posterior, converging with materially
-//! fewer labels than a restart from scratch.
+//! Instead of re-running one-shot audits on every update, this example
+//! drives a long-lived `MonitorSession` that certifies an interval
+//! once, then absorbs KG churn — small updates at **zero** annotation
+//! cost, and a bulk drift by re-opening annotation seeded with the
+//! surviving posterior, converging with materially fewer labels than a
+//! restart from scratch.
 //!
 //! ```text
 //! cargo run --release --example monitor_audit
