@@ -1031,7 +1031,7 @@ fn run_reactor_smoke(addr: SocketAddr, kg: &CompactKg, connections: u64) -> Resu
 
 /// Merges the `service_load`, `fault_load`, `reactor_load`,
 /// `metrics_overhead` and `metrics_reconciliation` rows into the
-/// benchmark JSON, bumping it to schema 7 (creates a minimal document
+/// benchmark JSON, stamping it schema 9 (creates a minimal document
 /// when the file is absent).
 fn write_report(
     out_path: &str,

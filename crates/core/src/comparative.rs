@@ -72,10 +72,11 @@ use crate::session::{
     write_method_fingerprint, write_solver, AnnotationRequest, EvaluationSession, SessionError,
     SessionStatus, StopReason, COMPARATIVE_SNAPSHOT_TAG,
 };
-use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::KnowledgeGraph;
 use kgae_intervals::{BetaPrior, Interval};
+use kgae_sampling::codec::{Reader, Writer};
 use kgae_sampling::ComparePrimary;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -555,7 +556,8 @@ impl<'a> ComparativeSession<'a> {
                 "campaign already stopped; read its result instead",
             ));
         }
-        let mut w = Writer::new();
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         w.u8(COMPARATIVE_SNAPSHOT_TAG);
@@ -592,7 +594,7 @@ impl<'a> ComparativeSession<'a> {
                 None => w.bool(false),
             }
         }
-        Ok(w.into_bytes())
+        Ok(out)
     }
 
     /// Reconstructs a suspended campaign from a snapshot, validating

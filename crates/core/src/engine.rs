@@ -69,7 +69,6 @@ use crate::session::{
     SessionStatus, SnapshotHeader, StopReason, COMPARATIVE_SNAPSHOT_TAG, MONITOR_SNAPSHOT_TAG,
     STRATIFIED_SNAPSHOT_TAG,
 };
-use crate::snapshot::Reader;
 use crate::stratified::{
     peek_stratified_header_impl, StratifiedConfig, StratifiedSession, StratifiedSnapshotHeader,
     StratumReport,
@@ -77,6 +76,7 @@ use crate::stratified::{
 use kgae_graph::stratify::Stratification;
 use kgae_graph::KnowledgeGraph;
 use kgae_intervals::KernelCache;
+use kgae_sampling::codec::Reader;
 use kgae_sampling::ComparePrimary;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -191,9 +191,6 @@ pub trait SessionEngine: Send {
     /// The unified point-in-time view.
     fn status(&self) -> SessionStatusView;
 
-    /// The headline status alone — what poll/submit hot paths report —
-    /// without materializing per-stratum or per-method rows (every row
-    /// costs an interval construction). Identical to
     /// Withdraws the outstanding request, rewinding the engine to its
     /// exact pre-draw state: afterwards the engine snapshots cleanly
     /// and a re-poll regenerates the bit-identical batch. This is what
@@ -206,6 +203,9 @@ pub trait SessionEngine: Send {
     /// request.
     fn cancel_request(&mut self) -> Result<(), SessionError>;
 
+    /// The headline status alone — what poll/submit hot paths report —
+    /// without materializing per-stratum or per-method rows (every row
+    /// costs an interval construction). Identical to
     /// [`SessionEngine::status`]'s `primary` field; engines whose rows
     /// are expensive override the default.
     fn headline(&self) -> SessionStatus {

@@ -60,10 +60,11 @@ use crate::session::{
     method_fingerprint_matches, read_record_prefix, write_method_fingerprint, EvaluationSession,
     SessionError, SessionStatus, MONITOR_SNAPSHOT_TAG,
 };
-use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::hash::mix2;
 use kgae_graph::{DeltaKg, KnowledgeGraph, StableId};
 use kgae_intervals::{hpd_interval, BetaPrior, Interval, IntervalError};
+use kgae_sampling::codec::{Reader, Writer};
 use kgae_stats::dist::Beta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -643,7 +644,8 @@ impl<'a> MonitorSession<'a> {
                 "a request is outstanding; submit its labels first",
             ));
         }
-        let mut w = Writer::new();
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         w.u8(MONITOR_SNAPSHOT_TAG);
@@ -735,7 +737,7 @@ impl<'a> MonitorSession<'a> {
             w.u64(child.len() as u64);
             w.bytes(&child);
         }
-        Ok(w.into_bytes())
+        Ok(out)
     }
 
     /// Reconstructs a suspended monitor from a snapshot, validating the

@@ -51,10 +51,11 @@
 use crate::cost::CostTracker;
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
 use crate::method::{IntervalMethod, MethodState};
-use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::{KnowledgeGraph, LabelCache};
 use kgae_intervals::{Interval, IntervalError, KernelCache};
+use kgae_sampling::codec::{Reader, Writer};
 use kgae_sampling::driver::{build_driver, DesignDriver, UnitEstimator};
 use kgae_sampling::SampledTriple;
 use kgae_stats::descriptive::OnlineMoments;
@@ -889,7 +890,7 @@ pub(crate) fn read_record_prefix(r: &mut Reader<'_>) -> Result<u8, SessionError>
 
 /// Encodes an interval method's fingerprint (tag byte + prior
 /// parameters) — the shape shared by every snapshot record type.
-pub(crate) fn write_method_fingerprint(w: &mut Writer, method: &IntervalMethod) {
+pub(crate) fn write_method_fingerprint(w: &mut Writer<'_>, method: &IntervalMethod) {
     w.u8(method_tag(method));
     let priors = method.priors().unwrap_or(&[]);
     w.u32(priors.len() as u32);
@@ -920,7 +921,7 @@ pub(crate) fn method_fingerprint_matches(
 /// reserved: it once carried per-prior solver warm starts and is now
 /// always written as the prior count followed by that many absent
 /// entries.
-pub(crate) fn write_solver(w: &mut Writer, solver: &MethodState) {
+pub(crate) fn write_solver(w: &mut Writer<'_>, solver: &MethodState) {
     w.u64(solver.tracked.0);
     w.u64(solver.tracked.1);
     w.u32(solver.posteriors.len() as u32);
@@ -1100,7 +1101,8 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
                 "session already stopped; read its result instead",
             ));
         }
-        let mut w = Writer::new();
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         // Design + KG fingerprint.
@@ -1160,7 +1162,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         self.driver.save_state(&mut driver_state);
         w.u64(driver_state.len() as u64);
         w.bytes(&driver_state);
-        Ok(w.into_bytes())
+        Ok(out)
     }
 
     /// Reconstructs a suspended session from a snapshot, validating it

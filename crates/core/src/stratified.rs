@@ -78,10 +78,11 @@ use crate::session::{
     method_fingerprint_matches, read_record_prefix, write_method_fingerprint, AnnotationRequest,
     EvaluationSession, SessionError, SessionStatus, StopReason, STRATIFIED_SNAPSHOT_TAG,
 };
-use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::stratify::Stratification;
 use kgae_graph::KnowledgeGraph;
 use kgae_intervals::{pooled_interval, pooled_point, Interval, StratumSummary};
+use kgae_sampling::codec::{Reader, Writer};
 use kgae_sampling::driver::StratumSrsDriver;
 use kgae_sampling::AllocationPolicy;
 use rand::rngs::SmallRng;
@@ -726,7 +727,8 @@ impl<'a> StratifiedSession<'a> {
                 "campaign already stopped; read its result instead",
             ));
         }
-        let mut w = Writer::new();
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         w.u8(STRATIFIED_SNAPSHOT_TAG);
@@ -757,7 +759,7 @@ impl<'a> StratifiedSession<'a> {
                 }
             }
         }
-        Ok(w.into_bytes())
+        Ok(out)
     }
 
     /// Reconstructs a suspended campaign from a snapshot, validating
@@ -909,7 +911,7 @@ fn stop_reason_tag(reason: StopReason) -> u8 {
     }
 }
 
-fn write_result(w: &mut Writer, result: &EvalResult) {
+fn write_result(w: &mut Writer<'_>, result: &EvalResult) {
     w.f64(result.mu_hat);
     w.f64(result.interval.lower());
     w.f64(result.interval.upper());

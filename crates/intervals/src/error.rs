@@ -1,14 +1,12 @@
-use kgae_optim::OptimError;
 use kgae_stats::StatsError;
 use std::fmt;
 
 /// Errors from interval construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IntervalError {
-    /// A statistical kernel failed (bad parameters, no convergence).
+    /// A statistical kernel or the HPD root finder failed (bad
+    /// parameters, no convergence).
     Stats(StatsError),
-    /// The HPD optimizer failed.
-    Optim(OptimError),
     /// The posterior is U-shaped (`α < 1` and `β < 1`), where the highest
     /// density region is a *union of two intervals* and no single HPD
     /// interval exists. Reachable only with zero annotations under a
@@ -25,7 +23,6 @@ impl fmt::Display for IntervalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IntervalError::Stats(e) => write!(f, "stats error: {e}"),
-            IntervalError::Optim(e) => write!(f, "optimization error: {e}"),
             IntervalError::UShapedPosterior { alpha, beta } => write!(
                 f,
                 "Beta({alpha}, {beta}) is U-shaped: the HPD region is not a single interval"
@@ -38,7 +35,6 @@ impl std::error::Error for IntervalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IntervalError::Stats(e) => Some(e),
-            IntervalError::Optim(e) => Some(e),
             IntervalError::UShapedPosterior { .. } => None,
         }
     }
@@ -50,12 +46,6 @@ impl From<StatsError> for IntervalError {
     }
 }
 
-impl From<OptimError> for IntervalError {
-    fn from(e: OptimError) -> Self {
-        IntervalError::Optim(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,8 +54,12 @@ mod tests {
     fn conversions_and_display() {
         let e: IntervalError = StatsError::InvalidProbability(2.0).into();
         assert!(e.to_string().contains("stats"));
-        let e: IntervalError = OptimError::SingularMatrix.into();
-        assert!(e.to_string().contains("optimization"));
+        let e: IntervalError = StatsError::NoConvergence {
+            algorithm: "brent",
+            iterations: 300,
+        }
+        .into();
+        assert!(e.to_string().contains("brent"));
         let e = IntervalError::UShapedPosterior {
             alpha: 0.5,
             beta: 0.5,

@@ -10,7 +10,8 @@
 //!   optimum satisfies the first-order condition `f(l) = f(u)`, which is
 //!   solved here in one dimension by Brent root finding. The solve is a
 //!   pure function of the posterior, so repeated calls return the same
-//!   bits. The paper's SLSQP formulation survives as a test oracle.
+//!   bits. The paper's SLSQP formulation survives as a test oracle
+//!   (`slsqp_hpd` in the dev-only `kgae-optim` crate).
 //! * **Monotone increasing** (all-correct limiting case, Eq. 10):
 //!   `[qBeta(α), 1]`.
 //! * **Monotone decreasing** (all-incorrect limiting case, Eq. 11):
@@ -22,8 +23,8 @@
 
 use crate::error::IntervalError;
 use crate::et::{check_alpha, et_interval};
+use crate::root::{brent, RootConfig};
 use crate::types::Interval;
-use kgae_optim::root::{brent, RootConfig};
 use kgae_stats::dist::{Beta, BetaShape};
 
 /// Computes the `1-α` HPD interval: Brent on the density-equality
@@ -198,14 +199,10 @@ fn unimodal_case(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
 }
 
 #[cfg(test)]
-#[path = "../tests/support/slsqp_oracle.rs"]
-mod slsqp_oracle;
-
-#[cfg(test)]
 mod tests {
-    use super::slsqp_oracle::slsqp_hpd;
     use super::*;
     use crate::prior::BetaPrior;
+    use kgae_optim::slsqp_hpd;
 
     /// Posterior grid spanning the shapes the framework produces:
     /// (prior, τ, n) across skewness levels and evidence sizes.

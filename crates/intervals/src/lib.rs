@@ -7,9 +7,11 @@
 //!   [`clopper_pearson`] as extra baselines for the coverage ablation;
 //! * Bayesian credible intervals on the conjugate Beta–Binomial model —
 //!   [`et_interval`] (§4.2) and [`hpd_interval`] (§4.3: Brent root
-//!   finding on the density-equality condition of the paper's
-//!   constrained minimization, and closed forms Eq. 10/11 in the
-//!   limiting cases; the paper's SLSQP solve is kept as a test oracle);
+//!   finding, in this crate's private `root` module, on the
+//!   density-equality condition of the paper's constrained
+//!   minimization, and closed forms Eq. 10/11 in the limiting cases;
+//!   the paper's SLSQP solve is a test oracle in the dev-only
+//!   `kgae-optim` crate);
 //! * [`BetaPrior`] — Kerman / Jeffreys / Uniform uninformative priors and
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;
@@ -38,6 +40,7 @@ mod hpd;
 pub mod kernel;
 pub mod pooled;
 mod prior;
+mod root;
 mod types;
 
 pub use error::IntervalError;

@@ -5,70 +5,30 @@
 //! constraint. Brent's method gives superlinear convergence with the
 //! robustness of bisection, which is exactly what that reduction needs.
 
-use crate::{OptimError, Result};
+use kgae_stats::StatsError;
 
-/// Configuration for the root finders.
+/// Configuration for the root finder.
 #[derive(Debug, Clone, Copy)]
-pub struct RootConfig {
+pub(crate) struct RootConfig {
     /// Absolute tolerance on the root location.
-    pub xtol: f64,
+    pub(crate) xtol: f64,
     /// Maximum number of iterations.
-    pub max_iter: usize,
-}
-
-impl Default for RootConfig {
-    fn default() -> Self {
-        Self {
-            xtol: 1e-13,
-            max_iter: 200,
-        }
-    }
-}
-
-/// Finds a root of `f` in `[lo, hi]` by plain bisection.
-///
-/// Requires a sign change over the bracket. Guaranteed linear convergence;
-/// used as the fallback of last resort.
-pub fn bisect<F: FnMut(f64) -> f64>(mut f: F, lo: f64, hi: f64, cfg: RootConfig) -> Result<f64> {
-    let (mut lo, mut hi) = (lo, hi);
-    let mut flo = f(lo);
-    let fhi = f(hi);
-    if flo == 0.0 {
-        return Ok(lo);
-    }
-    if fhi == 0.0 {
-        return Ok(hi);
-    }
-    if flo * fhi > 0.0 {
-        return Err(OptimError::InvalidBracket { lo, hi });
-    }
-    for _ in 0..cfg.max_iter {
-        let mid = 0.5 * (lo + hi);
-        if (hi - lo).abs() < cfg.xtol || mid == lo || mid == hi {
-            return Ok(mid);
-        }
-        let fm = f(mid);
-        if fm == 0.0 {
-            return Ok(mid);
-        }
-        if flo * fm < 0.0 {
-            hi = mid;
-        } else {
-            lo = mid;
-            flo = fm;
-        }
-    }
-    Err(OptimError::NoConvergence {
-        algorithm: "bisect",
-        iterations: cfg.max_iter,
-    })
+    pub(crate) max_iter: usize,
 }
 
 /// Finds a root of `f` in `[a, b]` with Brent's method.
 ///
 /// Combines bisection, secant, and inverse quadratic interpolation
-/// (Brent 1973). Requires `f(a)` and `f(b)` to have opposite signs.
-pub fn brent<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, cfg: RootConfig) -> Result<f64> {
+/// (Brent 1973). Requires `f(a)` and `f(b)` to have opposite signs;
+/// otherwise fails with [`StatsError::InvalidParameter`] naming the
+/// bracket. Hitting `cfg.max_iter` fails with
+/// [`StatsError::NoConvergence`].
+pub(crate) fn brent<F: FnMut(f64) -> f64>(
+    mut f: F,
+    a: f64,
+    b: f64,
+    cfg: RootConfig,
+) -> Result<f64, StatsError> {
     let (mut a, mut b) = (a, b);
     let mut fa = f(a);
     let mut fb = f(b);
@@ -79,7 +39,11 @@ pub fn brent<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, cfg: RootConfig) ->
         return Ok(b);
     }
     if fa * fb > 0.0 {
-        return Err(OptimError::InvalidBracket { lo: a, hi: b });
+        return Err(StatsError::InvalidParameter {
+            name: "bracket",
+            value: fa * fb,
+            constraint: "f(a)·f(b) must be ≤ 0 (a sign change over [a, b])",
+        });
     }
     let mut c = a;
     let mut fc = fa;
@@ -144,7 +108,7 @@ pub fn brent<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, cfg: RootConfig) ->
             e = d;
         }
     }
-    Err(OptimError::NoConvergence {
+    Err(StatsError::NoConvergence {
         algorithm: "brent",
         iterations: cfg.max_iter,
     })
@@ -153,56 +117,55 @@ pub fn brent<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, cfg: RootConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const CFG: RootConfig = RootConfig {
+        xtol: 1e-13,
+        max_iter: 200,
+    };
 
     #[test]
     fn brent_polynomial_roots() {
         // x³ - 2x - 5 = 0 has the classic Brent test root ≈ 2.0945514815.
-        let r = brent(
-            |x| x * x * x - 2.0 * x - 5.0,
-            2.0,
-            3.0,
-            RootConfig::default(),
-        )
-        .unwrap();
+        let r = brent(|x| x * x * x - 2.0 * x - 5.0, 2.0, 3.0, CFG).unwrap();
         assert!((r - 2.094551481542327).abs() < 1e-12);
     }
 
     #[test]
     fn brent_transcendental() {
-        let r = brent(|x: f64| x.cos() - x, 0.0, 1.0, RootConfig::default()).unwrap();
+        let r = brent(|x: f64| x.cos() - x, 0.0, 1.0, CFG).unwrap();
         assert!((r - 0.7390851332151607).abs() < 1e-12);
     }
 
     #[test]
     fn brent_exact_endpoint_roots() {
-        assert_eq!(brent(|x| x, 0.0, 1.0, RootConfig::default()).unwrap(), 0.0);
-        assert_eq!(
-            brent(|x| x - 1.0, 0.0, 1.0, RootConfig::default()).unwrap(),
-            1.0
-        );
+        assert_eq!(brent(|x| x, 0.0, 1.0, CFG).unwrap(), 0.0);
+        assert_eq!(brent(|x| x - 1.0, 0.0, 1.0, CFG).unwrap(), 1.0);
     }
 
     #[test]
     fn brent_rejects_bad_bracket() {
         assert!(matches!(
-            brent(|x| x * x + 1.0, -1.0, 1.0, RootConfig::default()),
-            Err(OptimError::InvalidBracket { .. })
+            brent(|x| x * x + 1.0, -1.0, 1.0, CFG),
+            Err(StatsError::InvalidParameter {
+                name: "bracket",
+                ..
+            })
         ));
     }
 
     #[test]
-    fn bisect_matches_brent() {
-        let cfg = RootConfig::default();
-        let f = |x: f64| x.exp() - 3.0;
-        let rb = brent(f, 0.0, 2.0, cfg).unwrap();
-        let ri = bisect(f, 0.0, 2.0, cfg).unwrap();
-        assert!((rb - 3.0f64.ln()).abs() < 1e-12);
-        assert!((ri - 3.0f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_rejects_bad_bracket() {
-        assert!(bisect(|x| x * x + 1.0, -1.0, 1.0, RootConfig::default()).is_err());
+    fn brent_reports_the_iteration_cap() {
+        // Three iterations cannot shrink [0, 1] to a 1e-13 bracket
+        // around the root of cos(x) − x.
+        let cfg = RootConfig { max_iter: 3, ..CFG };
+        assert_eq!(
+            brent(|x: f64| x.cos() - x, 0.0, 1.0, cfg),
+            Err(StatsError::NoConvergence {
+                algorithm: "brent",
+                iterations: 3,
+            })
+        );
     }
 
     #[test]
@@ -210,7 +173,19 @@ mod tests {
         // A shape similar to beta-density differences: nearly flat near one
         // end, steep near the other.
         let f = |x: f64| x.powi(9) - 1e-4;
-        let r = brent(f, 0.0, 1.0, RootConfig::default()).unwrap();
+        let r = brent(f, 0.0, 1.0, CFG).unwrap();
         assert!((r - 1e-4f64.powf(1.0 / 9.0)).abs() < 1e-9);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Brent root finding on randomly shifted monotone cubics.
+        #[test]
+        fn brent_finds_cubic_roots(root in -5.0f64..5.0, scale in 0.1f64..10.0) {
+            let f = |x: f64| scale * (x - root) * (1.0 + (x - root) * (x - root));
+            let r = brent(f, root - 7.0, root + 9.0, CFG).unwrap();
+            prop_assert!((r - root).abs() < 1e-9, "found {r}, want {root}");
+        }
     }
 }

@@ -1,12 +1,9 @@
 //! Property-based tests of the interval methods over the full posterior
 //! space the evaluation framework can produce.
 
-#[path = "support/slsqp_oracle.rs"]
-mod slsqp_oracle;
-
 use kgae_intervals::{clopper_pearson, et_interval, hpd_interval, wilson, BetaPrior};
+use kgae_optim::slsqp_hpd;
 use proptest::prelude::*;
-use slsqp_oracle::slsqp_hpd;
 
 /// Annotation outcomes: n in the framework's working range, τ <= n.
 fn outcomes() -> impl Strategy<Value = (u64, u64)> {

@@ -3,20 +3,6 @@ use std::fmt;
 /// Errors produced by the optimization routines.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptimError {
-    /// The provided bracket does not contain a sign change / minimum.
-    InvalidBracket {
-        /// Left end of the offending bracket.
-        lo: f64,
-        /// Right end of the offending bracket.
-        hi: f64,
-    },
-    /// An iteration limit was reached before convergence.
-    NoConvergence {
-        /// Name of the algorithm.
-        algorithm: &'static str,
-        /// Iterations performed.
-        iterations: usize,
-    },
     /// The linear system is singular (or numerically so).
     SingularMatrix,
     /// Dimension mismatch between problem pieces.
@@ -36,16 +22,6 @@ pub enum OptimError {
 impl fmt::Display for OptimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OptimError::InvalidBracket { lo, hi } => {
-                write!(f, "invalid bracket [{lo}, {hi}]")
-            }
-            OptimError::NoConvergence {
-                algorithm,
-                iterations,
-            } => write!(
-                f,
-                "{algorithm} did not converge after {iterations} iterations"
-            ),
             OptimError::SingularMatrix => write!(f, "singular linear system"),
             OptimError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
@@ -66,14 +42,14 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(OptimError::SingularMatrix.to_string().contains("singular"));
-        assert!(OptimError::InvalidBracket { lo: 0.0, hi: 1.0 }
-            .to_string()
-            .contains("[0, 1]"));
-        assert!(OptimError::NoConvergence {
-            algorithm: "slsqp",
-            iterations: 100
+        assert!(OptimError::DimensionMismatch {
+            expected: 2,
+            got: 3
         }
         .to_string()
-        .contains("slsqp"));
+        .contains("expected 2, got 3"));
+        assert!(OptimError::NonFiniteValue { what: "objective" }
+            .to_string()
+            .contains("objective"));
     }
 }

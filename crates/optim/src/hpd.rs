@@ -1,8 +1,9 @@
 //! The paper's HPD formulation (§4.3), kept as a test oracle for
-//! `hpd_interval`: SLSQP minimizing the width `u - l` under the coverage
-//! constraint `F(u) - F(l) = 1 - α`, with both endpoints bounded to
-//! `[0, 1]` and the ET interval as the initial guess (Algorithm 1
-//! line 20). The constraint gradient is the posterior density.
+//! `kgae_intervals::hpd_interval`: SLSQP minimizing the width `u - l`
+//! under the coverage constraint `F(u) - F(l) = 1 - α`, with both
+//! endpoints bounded to `[0, 1]` and the ET interval as the initial guess
+//! (Algorithm 1 line 20). The constraint gradient is the posterior
+//! density.
 //!
 //! SLSQP from the ET guess does not converge on many strongly skewed
 //! posteriors (it stalls infeasible or short of the boundary within its
@@ -11,12 +12,8 @@
 //! `hpd_interval` wherever the oracle converges; the deterministic
 //! sweeps also require it to converge on a stated share of their
 //! inputs, so no check is vacuous.
-//!
-//! Shared by the unit tests of `hpd.rs`, `tests/props.rs` and the
-//! workspace's `statistical_guarantees` suite through `#[path]`, so it
-//! names only `kgae_optim` and `kgae_stats`.
 
-use kgae_optim::slsqp::{slsqp, Problem, SlsqpConfig};
+use crate::slsqp::{slsqp, Problem, SlsqpConfig};
 use kgae_stats::dist::Beta;
 
 struct HpdProblem<'a> {

@@ -1,6 +1,6 @@
 //! Small dense linear algebra: LU factorization with partial pivoting.
 //!
-//! The SQP subproblems of the HPD solver produce KKT systems of dimension
+//! The SQP subproblems of the HPD oracle produce KKT systems of dimension
 //! `n + m` (= 3 for the paper's two-variable, one-constraint problem), so a
 //! straightforward `O(k³)` LU with partial pivoting is both simplest and
 //! fastest at this scale.

@@ -1,7 +1,6 @@
-//! Property-based tests for the optimization substrate.
+//! Property-based tests for the SLSQP oracle and its LU solves.
 
 use kgae_optim::linalg::{solve, Matrix};
-use kgae_optim::root::{brent, RootConfig};
 use kgae_optim::slsqp::{slsqp, FnProblem, SlsqpConfig};
 use proptest::prelude::*;
 
@@ -28,14 +27,6 @@ proptest! {
         for (bb, orig) in back.iter().zip(b) {
             prop_assert!((bb - orig).abs() < 1e-9);
         }
-    }
-
-    /// Brent root finding on randomly shifted monotone cubics.
-    #[test]
-    fn brent_finds_cubic_roots(root in -5.0f64..5.0, scale in 0.1f64..10.0) {
-        let f = |x: f64| scale * (x - root) * (1.0 + (x - root) * (x - root));
-        let r = brent(f, root - 7.0, root + 9.0, RootConfig::default()).unwrap();
-        prop_assert!((r - root).abs() < 1e-9, "found {r}, want {root}");
     }
 
     /// SLSQP on random projection problems:

@@ -35,6 +35,7 @@
 //! ```
 
 use crate::alias::AliasTable;
+use crate::codec::{ReadResult, Reader, Writer};
 use crate::distinct::IncrementalWithoutReplacement;
 use crate::extra::{ScsSampler, WcsSampler};
 use crate::srs::{SampledTriple, SrsSampler};
@@ -473,71 +474,42 @@ pub trait DesignDriver {
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError>;
 }
 
-// ---------------------------------------------------------------------
-// Minimal canonical byte codec for driver state.
-// ---------------------------------------------------------------------
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64, DriverStateError> {
-    let end = cursor
-        .checked_add(8)
-        .ok_or(DriverStateError("cursor overflow"))?;
-    let chunk = bytes
-        .get(*cursor..end)
-        .ok_or(DriverStateError("truncated state"))?;
-    *cursor = end;
-    Ok(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
-}
-
-fn expect_consumed(bytes: &[u8], cursor: usize) -> Result<(), DriverStateError> {
-    if cursor == bytes.len() {
-        Ok(())
-    } else {
-        Err(DriverStateError("trailing bytes in state"))
-    }
-}
-
 /// Encodes a without-replacement stream: `drawn`, then the sorted
 /// displaced table as a length-prefixed list of `(position, value)`.
 fn save_stream(stream: &IncrementalWithoutReplacement, out: &mut Vec<u8>) {
-    push_u64(out, stream.drawn());
+    let mut w = Writer::new(out);
+    w.u64(stream.drawn());
     let entries = stream.displaced_entries();
-    push_u64(out, entries.len() as u64);
+    w.u64(entries.len() as u64);
     for (k, v) in entries {
-        push_u64(out, k);
-        push_u64(out, v);
+        w.u64(k);
+        w.u64(v);
     }
 }
 
 /// Decodes [`save_stream`] bytes into a stream over `population`
 /// items, range-checking every field before rebuilding it.
-fn restore_stream(
-    bytes: &[u8],
-    population: u64,
-) -> Result<IncrementalWithoutReplacement, DriverStateError> {
-    let mut cursor = 0;
-    let drawn = read_u64(bytes, &mut cursor)?;
+fn restore_stream(bytes: &[u8], population: u64) -> ReadResult<IncrementalWithoutReplacement> {
+    let mut r = Reader::new(bytes);
+    let drawn = r.u64()?;
     if drawn > population {
-        return Err(DriverStateError("drawn exceeds population"));
+        return Err("drawn exceeds population");
     }
-    let len = read_u64(bytes, &mut cursor)?;
+    let len = r.u64()?;
     if len > 2 * drawn {
         // Each draw displaces at most two positions.
-        return Err(DriverStateError("displaced table larger than draws allow"));
+        return Err("displaced table larger than draws allow");
     }
     let mut entries = Vec::with_capacity(len as usize);
     for _ in 0..len {
-        let k = read_u64(bytes, &mut cursor)?;
-        let v = read_u64(bytes, &mut cursor)?;
+        let k = r.u64()?;
+        let v = r.u64()?;
         if k >= population || v >= population {
-            return Err(DriverStateError("displaced entry out of range"));
+            return Err("displaced entry out of range");
         }
         entries.push((k, v));
     }
-    expect_consumed(bytes, cursor)?;
+    r.finish()?;
     Ok(IncrementalWithoutReplacement::from_saved(
         population, drawn, &entries,
     ))
@@ -545,10 +517,10 @@ fn restore_stream(
 
 /// Decodes the single `drawn` counter that is the whole state of the
 /// with-replacement designs.
-fn restore_counter(bytes: &[u8]) -> Result<u64, DriverStateError> {
-    let mut cursor = 0;
-    let drawn = read_u64(bytes, &mut cursor)?;
-    expect_consumed(bytes, cursor)?;
+fn restore_counter(bytes: &[u8]) -> ReadResult<u64> {
+    let mut r = Reader::new(bytes);
+    let drawn = r.u64()?;
+    r.finish()?;
     Ok(drawn)
 }
 
@@ -610,7 +582,7 @@ impl DesignDriver for SrsDriver<'_> {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let stream = restore_stream(bytes, self.num_triples)?;
+        let stream = restore_stream(bytes, self.num_triples).map_err(DriverStateError)?;
         self.sampler.restore_stream(stream);
         Ok(())
     }
@@ -679,11 +651,11 @@ impl DesignDriver for TwcsDriver<'_> {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.drawn);
+        Writer::new(out).u64(self.drawn);
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        self.drawn = restore_counter(bytes)?;
+        self.drawn = restore_counter(bytes).map_err(DriverStateError)?;
         Ok(())
     }
 }
@@ -756,11 +728,11 @@ impl DesignDriver for WcsDriver<'_> {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.drawn);
+        Writer::new(out).u64(self.drawn);
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        self.drawn = restore_counter(bytes)?;
+        self.drawn = restore_counter(bytes).map_err(DriverStateError)?;
         Ok(())
     }
 }
@@ -851,11 +823,11 @@ impl DesignDriver for ScsDriver<'_> {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.drawn);
+        Writer::new(out).u64(self.drawn);
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        self.drawn = restore_counter(bytes)?;
+        self.drawn = restore_counter(bytes).map_err(DriverStateError)?;
         Ok(())
     }
 }
@@ -939,7 +911,7 @@ impl DesignDriver for StratumSrsDriver<'_> {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        self.stream = restore_stream(bytes, self.stratum_size())?;
+        self.stream = restore_stream(bytes, self.stratum_size()).map_err(DriverStateError)?;
         Ok(())
     }
 }
@@ -1289,8 +1261,9 @@ mod tests {
         let mut fresh = StratumSrsDriver::new(&kg, Arc::new(vec![0, 1]));
         assert!(fresh.restore_state(&[9]).is_err(), "truncated");
         let mut bad = Vec::new();
-        push_u64(&mut bad, 7); // drawn > stratum size
-        push_u64(&mut bad, 0);
+        let mut w = Writer::new(&mut bad);
+        w.u64(7); // drawn > stratum size
+        w.u64(0);
         assert!(fresh.restore_state(&bad).is_err());
     }
 
@@ -1300,12 +1273,14 @@ mod tests {
         let mut d = SrsDriver::new(&kg);
         assert!(d.restore_state(&[1, 2, 3]).is_err(), "truncated");
         let mut bad = Vec::new();
-        push_u64(&mut bad, 99); // drawn > population
-        push_u64(&mut bad, 0);
+        let mut w = Writer::new(&mut bad);
+        w.u64(99); // drawn > population
+        w.u64(0);
         assert!(d.restore_state(&bad).is_err());
         let mut trailing = Vec::new();
-        push_u64(&mut trailing, 0);
-        push_u64(&mut trailing, 0);
+        let mut w = Writer::new(&mut trailing);
+        w.u64(0);
+        w.u64(0);
         trailing.push(0xFF);
         assert!(d.restore_state(&trailing).is_err(), "trailing bytes");
     }

@@ -11,7 +11,9 @@
 //!   broader cluster-sampling family (online-appendix baselines);
 //! * [`estimators`] — the unbiased estimators of Eq. 2/3 with their
 //!   variance estimators, plus Kish design effects used to adapt Wilson
-//!   and credible intervals to complex designs.
+//!   and credible intervals to complex designs;
+//! * [`codec`] — the little-endian byte codec of driver state and of the
+//!   session snapshots that embed it.
 //!
 //! ```
 //! use kgae_sampling::{SrsSampler, estimators::srs_estimate};
@@ -34,6 +36,7 @@
 #![warn(clippy::all)]
 
 pub mod alias;
+pub mod codec;
 pub mod distinct;
 pub mod driver;
 pub mod estimators;

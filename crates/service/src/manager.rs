@@ -2,7 +2,7 @@
 //! few locks, tiny dormant footprint.
 //!
 //! A [`SessionManager`] hosts any number of named evaluation campaigns
-//! — plain, stratified or comparative, every kind behind one
+//! — plain, stratified, comparative or monitor, every kind behind one
 //! `Box<dyn SessionEngine>` — over the datasets of a shared
 //! [`DatasetRegistry`]. The registry of sessions is **sharded and
 //! lock-striped**: an id hashes to one of N shards, each guarded by its

@@ -10,13 +10,12 @@
 //! This façade crate re-exports the whole workspace:
 //!
 //! * [`stats`] — special functions, distributions, t-tests;
-//! * [`optim`] — Brent root finding behind the HPD solver, and the
-//!   paper's SLSQP method;
 //! * [`graph`] — KG model, compact storage, Table-1 dataset twins;
 //! * [`sampling`] — SRS / TWCS / WCS / SCS with unbiased estimators and
 //!   Kish design effects;
 //! * [`intervals`] — Wald, Wilson, Agresti–Coull, Clopper–Pearson, ET
-//!   and HPD intervals with Kerman/Jeffreys/Uniform/informative priors;
+//!   and HPD intervals (one Brent solver) with
+//!   Kerman/Jeffreys/Uniform/informative priors;
 //! * [`core`] — the iterative evaluation framework, the cost model, the
 //!   aHPD algorithm, stratified (per-predicate) campaign coordination,
 //!   comparative multi-method campaigns (one annotation stream racing
@@ -27,6 +26,10 @@
 //!   `SessionManager` with snapshot-backed persistence behind a
 //!   std-only HTTP/1.1 + JSON API (`kgae-serve` binary; the
 //!   `kgae-client` crate speaks the same wire format).
+//!
+//! The paper's SLSQP formulation of the HPD problem is not shipped: it
+//! lives in the dev-only `kgae-optim` crate as the test oracle the HPD
+//! solver is checked against.
 //!
 //! Architecture, wire-protocol and snapshot-format documentation live
 //! in `docs/ARCHITECTURE.md`, `docs/WIRE.md` and `docs/SNAPSHOT.md`.
@@ -58,7 +61,6 @@
 pub use kgae_core as core;
 pub use kgae_graph as graph;
 pub use kgae_intervals as intervals;
-pub use kgae_optim as optim;
 pub use kgae_sampling as sampling;
 pub use kgae_service as service;
 pub use kgae_stats as stats;

@@ -3,12 +3,10 @@
 //! through the sampling pipeline, and credible-interval coverage through
 //! the whole evaluation loop.
 
-#[path = "../crates/intervals/tests/support/slsqp_oracle.rs"]
-mod slsqp_oracle;
-
 use kgae::intervals::{et_interval, hpd_interval, BetaPrior};
 use kgae::prelude::*;
 use kgae_core::repeat_evaluation;
+use kgae_optim::slsqp_hpd;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -27,7 +25,7 @@ fn theorem_1_and_2_hpd_is_shortest_and_unique_across_the_posterior_space() {
                 let et = et_interval(&post, 0.05).unwrap();
                 assert!(brent.width() <= et.width() + 1e-9);
                 total += 1;
-                if let Some((l, u)) = slsqp_oracle::slsqp_hpd(&post, 0.05) {
+                if let Some((l, u)) = slsqp_hpd(&post, 0.05) {
                     checked += 1;
                     assert!((l - brent.lower()).abs() < 1e-6);
                     assert!((u - brent.upper()).abs() < 1e-6);
