@@ -25,7 +25,7 @@
 //!   standalone aHPD runs;
 //! * the kernel-cache A/B (`kernel_cache`): the shared posterior-kernel
 //!   memo table on vs. off, on the aHPD/SRS, comparative and
-//!   stratified cells — cache-on must win every cell (≥ 1.25× on
+//!   stratified cells — cache-on must win every cell (≥ 2× on
 //!   aHPD/SRS) while stopping bit-identically, and the steady-state
 //!   hit rate is recorded;
 //! * monitor carryover load (`monitor_load`): long-lived
@@ -918,9 +918,9 @@ fn run() -> Result<(), String> {
         }
     }
     let ahpd_cache_row = &cache_rows[0];
-    if ahpd_cache_row.speedup() < 1.25 {
+    if ahpd_cache_row.speedup() < 2.0 {
         return Err(format!(
-            "kernel_cache: aHPD/SRS speedup {:.2}× is below the 1.25× floor the \
+            "kernel_cache: aHPD/SRS speedup {:.2}× is below the 2× floor the \
              cache is meant to clear",
             ahpd_cache_row.speedup()
         ));

@@ -21,21 +21,21 @@
 //!   construction (and even the one-step bound check) entirely until the
 //!   first unit where stopping is achievable. The stopping decision is
 //!   unchanged — every skipped step is one where the reference
-//!   check-every-unit loop could not have stopped either.
+//!   check-every-unit loop could not have stopped either. Under SRS the
+//!   search is one memoized kernel op per prior ([`Kernel::srs_skip`]),
+//!   and the prior set skips the minimum of its priors' skips; the
+//!   cluster search shares the same [`find_certified_skip`] but runs
+//!   on effective-sample posteriors, without memoization.
 
 use crate::ahpd::{ahpd_select_posteriors, posteriors_for_state};
 use crate::state::{DesignKind, SampleState};
+use kgae_intervals::kernel::{find_certified_skip, MAX_SKIP};
 use kgae_intervals::{
     et_interval, hpd_interval, hpd_width_achievable, wald_from_variance, wilson, BetaPrior,
     Interval, IntervalError, Kernel, KernelCache,
 };
 use kgae_stats::dist::Beta;
 use std::sync::Arc;
-
-/// Hard cap on a single certified skip, bounding the cost of one
-/// lookahead computation. Re-derived after the cap is reached, so larger
-/// skips simply arrive in installments.
-const MAX_SKIP: u64 = 1 << 16;
 
 /// Per-run solver state carried across the framework's successive calls:
 /// the incrementally-advanced per-prior posteriors for SRS samples and an
@@ -305,16 +305,12 @@ impl IntervalMethod {
     /// Certified SRS lookahead: the number of further annotations that
     /// provably cannot satisfy `MoE ≤ ε`, from the current `(τ, n)`.
     ///
-    /// For each horizon `k`, every achievable posterior has
-    /// `τ' ∈ [τ, τ+k]` at `n + k` observations. HPD width at fixed
-    /// evidence is smallest in the extreme outcome regions (the Fig. 3
-    /// width curves peak centrally), so stopping achievability is
-    /// evaluated — via the *exact* best-window predicate
-    /// [`hpd_width_achievable`] — at the range endpoints plus their
-    /// one-step-inside neighbors (covering the transition into the
-    /// monotone limiting shapes of Eq. 10/11). The smallest achievable
-    /// `k` is found by exponential + binary search; everything before it
-    /// is skipped.
+    /// The prior set can stop at a horizon iff one of its priors can, and
+    /// each prior's predicate is monotone in the horizon, so the set's
+    /// skip is the minimum over priors of [`Kernel::srs_skip`] — one
+    /// memoized kernel op per prior, which probes the exact best-window
+    /// predicate [`hpd_width_achievable`] at the extreme reachable
+    /// outcomes of each horizon.
     ///
     /// Returns 0 (check the very next annotation) for methods without a
     /// certified bound (Wald, Wilson).
@@ -332,7 +328,11 @@ impl IntervalMethod {
         debug_assert_eq!(state.kind(), DesignKind::Srs);
         let (tau, n) = (state.tau(), state.n());
         let kernel = cache.kernel();
-        find_certified_skip(|k| srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon))
+        priors
+            .iter()
+            .map(|prior| kernel.srs_skip(prior, tau, n, alpha, 2.0 * epsilon))
+            .min()
+            .unwrap_or(MAX_SKIP)
     }
 
     /// Certified cluster lookahead: the number of further stage-1 draws
@@ -448,70 +448,6 @@ impl std::str::FromStr for IntervalMethod {
             _ => Err(err()),
         }
     }
-}
-
-/// Whether `MoE ≤ ε` is achievable at horizon `k` under SRS: the exact
-/// best-window predicate evaluated over priors and the extreme
-/// achievable outcomes (plus their one-step-inside neighbors, covering
-/// the monotone-shape transitions). Verdicts route through the kernel,
-/// so a shared cache memoizes them across campaigns — the lookahead loop
-/// no longer reconstructs a `Beta` per polled count.
-fn srs_stoppable_at(
-    priors: &[BetaPrior],
-    kernel: &Kernel<'_>,
-    tau: u64,
-    n: u64,
-    k: u64,
-    alpha: f64,
-    epsilon: f64,
-) -> bool {
-    let n_k = n + k;
-    let mut candidates = [tau, tau + k, tau + k - 1, tau + 1];
-    candidates.sort_unstable();
-    let mut prev = u64::MAX;
-    for &t in &candidates {
-        if t == prev || t < tau || t > tau + k {
-            continue;
-        }
-        prev = t;
-        for prior in priors {
-            if kernel.achievable(prior, t, n_k, alpha, 2.0 * epsilon) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Searches for the number of units to skip: one less than the smallest
-/// horizon at which stopping becomes achievable, exploiting that
-/// achievability is monotone in the horizon (more evidence can only
-/// narrow the best achievable interval). Exponential bracketing plus
-/// binary search: O(log k) predicate evaluations, most of which
-/// short-circuit on the one-density-evaluation necessary condition.
-fn find_certified_skip(stoppable_at: impl Fn(u64) -> bool) -> u64 {
-    if stoppable_at(1) {
-        return 0;
-    }
-    let mut lo = 1u64; // invariant: !stoppable(lo)
-    let mut hi = 2u64;
-    while !stoppable_at(hi) {
-        if hi >= MAX_SKIP {
-            return hi;
-        }
-        lo = hi;
-        hi = (hi * 2).min(MAX_SKIP);
-    }
-    // invariant: !stoppable(lo) && stoppable(hi)
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if stoppable_at(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -781,15 +717,84 @@ mod tests {
         }
     }
 
+    /// The joint prior-set lookahead: one exponential + binary search
+    /// whose probe ORs every prior's `achievable` verdict at the extreme
+    /// reachable outcomes. The reference that the per-prior minimum in
+    /// [`IntervalMethod::certified_skip_srs`] must equal.
+    fn joint_certified_skip(
+        priors: &[BetaPrior],
+        kernel: &Kernel<'_>,
+        tau: u64,
+        n: u64,
+        alpha: f64,
+        epsilon: f64,
+    ) -> u64 {
+        find_certified_skip(|k| {
+            let n_k = n + k;
+            let mut candidates = [tau, tau + k, tau + k - 1, tau + 1];
+            candidates.sort_unstable();
+            let mut prev = u64::MAX;
+            for &t in &candidates {
+                if t == prev || t < tau || t > tau + k {
+                    continue;
+                }
+                prev = t;
+                for prior in priors {
+                    if kernel.achievable(prior, t, n_k, alpha, 2.0 * epsilon) {
+                        return true;
+                    }
+                }
+            }
+            false
+        })
+    }
+
     #[test]
-    fn find_certified_skip_search_is_consistent() {
-        // Synthetic monotone predicate: first stoppable horizon k = 100
-        // ⇒ 99 units are skippable.
-        let skip = find_certified_skip(|k| k >= 100);
-        assert_eq!(skip, 99);
-        // Immediately stoppable ⇒ no skip.
-        assert_eq!(find_certified_skip(|_| true), 0);
-        // Never stoppable within the cap ⇒ capped skip.
-        assert_eq!(find_certified_skip(|_| false), MAX_SKIP);
+    fn per_prior_skip_minimum_equals_the_joint_search() {
+        // The prior set's predicate is the OR of per-prior predicates,
+        // each monotone in the horizon, so the minimum of per-prior skips
+        // must equal the joint search exactly — with and without a cache.
+        let informative = BetaPrior::informative(18.0, 2.0).unwrap();
+        let sets = [
+            BetaPrior::UNINFORMATIVE.to_vec(),
+            vec![BetaPrior::JEFFREYS, informative],
+        ];
+        // Every τ at small n (where the monotone-shape transitions live),
+        // then a τ stride at larger n; the uncached pass takes a coarser
+        // sub-grid to stay fast under the debug profile.
+        let grid = |n_stride: u64, tau_stride: u64| {
+            (1..=30u64)
+                .chain((40..=420).step_by(n_stride as usize))
+                .flat_map(move |n| {
+                    let stride = if n <= 30 { 1 } else { tau_stride };
+                    (0..=n)
+                        .step_by(stride as usize)
+                        .chain([n - 1, n])
+                        .map(move |tau| (tau, n))
+                })
+        };
+        let shared = Arc::new(KernelCache::new());
+        for priors in &sets {
+            let method = IntervalMethod::AHpd(priors.clone());
+            let mut cached = method.new_state();
+            cached.attach_kernel(Arc::clone(&shared));
+            let plain = method.new_state();
+            for (solver, n_stride, tau_stride) in [(&cached, 20, 7), (&plain, 95, 41)] {
+                for epsilon in [0.05, 0.03] {
+                    for (tau, n) in grid(n_stride, tau_stride) {
+                        let state = srs_state(tau, n);
+                        let joint =
+                            joint_certified_skip(priors, &solver.kernel(), tau, n, 0.05, epsilon);
+                        assert_eq!(
+                            method.certified_skip_srs(&state, 0.05, epsilon, solver),
+                            joint,
+                            "τ={tau} n={n} ε={epsilon} priors={:?} cached={}",
+                            priors.iter().map(|p| p.name).collect::<Vec<_>>(),
+                            solver.kernel().is_cached(),
+                        );
+                    }
+                }
+            }
+        }
     }
 }

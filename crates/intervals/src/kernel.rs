@@ -5,7 +5,11 @@
 //! engines compute under SRS is a **pure function of integer counts**
 //! `(τ, n)` plus a fixed `(prior, α)` configuration: the conjugate
 //! posterior is `Beta(a + τ, b + n − τ)` and the solver output depends on
-//! nothing else. A multi-tenant server answering thousands of campaigns
+//! nothing else. That includes the certified SRS lookahead itself
+//! ([`Kernel::srs_skip`]): the whole exponential + binary search over one
+//! prior's future horizons is one memoized op, whose miss-solve sends its
+//! `achievable` probes through the same kernel (so they are memoized
+//! too). A multi-tenant server answering thousands of campaigns
 //! over the same registry datasets therefore re-solves identical kernels
 //! millions of times. This module amortizes them:
 //!
@@ -50,6 +54,11 @@ use std::sync::Mutex;
 /// campaigns at different counts contend only 1/SHARDS of the time.
 const SHARDS: usize = 16;
 
+/// Hard cap on a single certified skip, bounding the cost of one
+/// lookahead computation. Callers re-derive the skip once it runs out,
+/// so larger skips simply arrive in installments.
+pub const MAX_SKIP: u64 = 1 << 16;
+
 /// Default total entry cap (across all shards). An entry is ~100 bytes
 /// including `HashMap` overhead, so the default bounds the cache at a
 /// few tens of megabytes — far above the working set of the registry
@@ -70,6 +79,8 @@ enum Op {
     Achievable,
     /// [`hpd_width_lower_bound`] over the count posterior.
     WidthBound,
+    /// [`Kernel::srs_skip`]: one prior's certified SRS lookahead.
+    Skip,
 }
 
 /// A self-describing memo key: the op, the method configuration as raw
@@ -116,6 +127,7 @@ enum Value {
     Interval { lower: f64, upper: f64 },
     Verdict(bool),
     Bound(Option<f64>),
+    Skip(u64),
 }
 
 /// A point-in-time snapshot of the cache counters, taken by
@@ -459,6 +471,99 @@ impl<'a> Kernel<'a> {
             Err(_) => unreachable!("width-bound solve is infallible"),
         }
     }
+
+    /// Certified SRS lookahead for **one prior**: the number of further
+    /// annotations from `(τ, n)` at which no `1-α` credible window of
+    /// that prior's posterior can have width ≤ `width`, capped at
+    /// [`MAX_SKIP`].
+    ///
+    /// For each horizon `k`, every reachable posterior has
+    /// `τ' ∈ [τ, τ+k]` at `n + k` observations. HPD width at fixed
+    /// evidence is smallest in the extreme outcome regions (the Fig. 3
+    /// width curves peak centrally), so the probe evaluates the exact
+    /// best-window predicate [`Kernel::achievable`] at the range
+    /// endpoints plus their one-step-inside neighbours (covering the
+    /// transition into the monotone limiting shapes of Eq. 10/11).
+    /// [`find_certified_skip`] then finds the smallest achievable `k`.
+    ///
+    /// Memoized under `(prior, α, width, τ, n)`. A miss runs the search
+    /// with its probes routed through this same handle, so they are
+    /// memoized as nested lookups; without a cache everything solves
+    /// directly. A prior *set* stops at a horizon iff one of its priors
+    /// does, and each prior's predicate is monotone in the horizon, so a
+    /// set's skip is the minimum of its priors' skips.
+    #[must_use]
+    pub fn srs_skip(&self, prior: &BetaPrior, tau: u64, n: u64, alpha: f64, width: f64) -> u64 {
+        let solve =
+            || find_certified_skip(|k| self.srs_stoppable_at(prior, tau, n, k, alpha, width));
+        let Some(cache) = self.cache else {
+            return solve();
+        };
+        let key = Key::new(Op::Skip, prior, alpha, width, tau, n);
+        match cache.memo(key, || Ok(Value::Skip(solve()))) {
+            Ok(Value::Skip(skip)) => skip,
+            Ok(_) => unreachable!("skip op memoized a non-skip"),
+            Err(_) => unreachable!("skip solve is infallible"),
+        }
+    }
+
+    /// The per-prior probe of [`Self::srs_skip`]: is a width-`width`
+    /// window achievable for some reachable `τ'` at horizon `k`?
+    fn srs_stoppable_at(
+        &self,
+        prior: &BetaPrior,
+        tau: u64,
+        n: u64,
+        k: u64,
+        alpha: f64,
+        width: f64,
+    ) -> bool {
+        let n_k = n + k;
+        let mut candidates = [tau, tau + k, tau + k - 1, tau + 1];
+        candidates.sort_unstable();
+        let mut prev = u64::MAX;
+        for &t in &candidates {
+            if t == prev || t < tau || t > tau + k {
+                continue;
+            }
+            prev = t;
+            if self.achievable(prior, t, n_k, alpha, width) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Searches for the number of units to skip: one less than the smallest
+/// horizon `k ≥ 1` at which `stoppable_at(k)` holds, capped at
+/// [`MAX_SKIP`]. Requires the predicate to be monotone in the horizon
+/// (more evidence can only narrow the best achievable interval).
+/// Exponential bracketing plus binary search: O(log k) predicate
+/// evaluations.
+pub fn find_certified_skip(mut stoppable_at: impl FnMut(u64) -> bool) -> u64 {
+    if stoppable_at(1) {
+        return 0;
+    }
+    let mut lo = 1u64; // invariant: !stoppable(lo)
+    let mut hi = 2u64;
+    while !stoppable_at(hi) {
+        if hi >= MAX_SKIP {
+            return hi;
+        }
+        lo = hi;
+        hi = (hi * 2).min(MAX_SKIP);
+    }
+    // invariant: !stoppable(lo) && stoppable(hi)
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if stoppable_at(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -515,6 +620,14 @@ mod tests {
                         cached.width_lower_bound(&prior, tau, n, alpha),
                         direct.width_lower_bound(&prior, tau, n, alpha),
                     );
+                    for width in [0.1, 0.06] {
+                        assert_eq!(
+                            cached.srs_skip(&prior, tau, n, alpha, width),
+                            direct.srs_skip(&prior, tau, n, alpha, width),
+                            "skip[{}] τ={tau} n={n} α={alpha} w={width}",
+                            prior.name
+                        );
+                    }
                 }
             }
         }
@@ -545,6 +658,75 @@ mod tests {
             assert_eq!(interval.lower().to_bits(), direct.lower().to_bits());
             assert_eq!(interval.upper().to_bits(), direct.upper().to_bits());
         }
+        // The skip op keys on 2ε: the same (prior, α, τ, n) at ε = 0.05
+        // and ε = 0.03 must not alias (a tighter target needs more
+        // evidence), nor may the skip alias across priors or α.
+        let direct = Kernel::new(None);
+        let skips: Vec<u64> = [
+            (kerman, 0.05, 0.1),
+            (kerman, 0.05, 0.06),
+            (uniform, 0.05, 0.1),
+            (kerman, 0.10, 0.1),
+        ]
+        .into_iter()
+        .map(|(prior, alpha, width)| {
+            let skip = kernel.srs_skip(&prior, 27, 30, alpha, width);
+            assert_eq!(skip, direct.srs_skip(&prior, 27, 30, alpha, width));
+            skip
+        })
+        .collect();
+        assert!(skips[1] > skips[0], "ε aliased: {skips:?}");
+        assert_ne!(skips[0], skips[2], "priors aliased: {skips:?}");
+        assert_ne!(skips[0], skips[3], "α aliased: {skips:?}");
+    }
+
+    #[test]
+    fn skip_misses_count_their_nested_probes() {
+        // A skip miss runs its search through the same cache, so one
+        // skip lookup adds its own miss plus every nested `achievable`
+        // lookup; the counters and the entry gauge must still reconcile.
+        let cache = KernelCache::new();
+        let kernel = Kernel::new(Some(&cache));
+        let prior = BetaPrior::JEFFREYS;
+        let skip = kernel.srs_skip(&prior, 15, 30, 0.05, 0.1);
+        assert!(skip > 0, "a central sample certifies a skip");
+        let cold = cache.stats();
+        assert!(cold.misses > 1, "the miss-solve made no nested probes");
+        assert_eq!(cold.hits + cold.misses, cold.lookups());
+        let resident = |cache: &KernelCache| -> u64 {
+            cache
+                .shards
+                .iter()
+                .map(|s| s.lock().unwrap().len() as u64)
+                .sum()
+        };
+        assert_eq!(cold.entries, resident(&cache), "entry gauge drifted");
+        assert_eq!(cold.entries, cold.insertions);
+        // The same skip again is exactly one hit: no nested probes.
+        assert_eq!(kernel.srs_skip(&prior, 15, 30, 0.05, 0.1), skip);
+        let warm = cache.stats();
+        assert_eq!(warm.lookups(), cold.lookups() + 1);
+        assert_eq!(warm.hits, cold.hits + 1);
+        assert_eq!(warm.entries, cold.entries);
+        // A neighbouring skip miss reuses some of the probes already
+        // resident, and still reconciles.
+        let _ = kernel.srs_skip(&prior, 16, 31, 0.05, 0.1);
+        let next = cache.stats();
+        assert!(next.hits > warm.hits, "neighbouring search shared no probe");
+        assert_eq!(next.hits + next.misses, next.lookups());
+        assert_eq!(next.entries, resident(&cache), "entry gauge drifted");
+    }
+
+    #[test]
+    fn find_certified_skip_search_is_consistent() {
+        // Synthetic monotone predicate: first stoppable horizon k = 100
+        // ⇒ 99 units are skippable.
+        let skip = find_certified_skip(|k| k >= 100);
+        assert_eq!(skip, 99);
+        // Immediately stoppable ⇒ no skip.
+        assert_eq!(find_certified_skip(|_| true), 0);
+        // Never stoppable within the cap ⇒ capped skip.
+        assert_eq!(find_certified_skip(|_| false), MAX_SKIP);
     }
 
     #[test]
