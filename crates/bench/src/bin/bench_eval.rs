@@ -10,12 +10,8 @@
 //!   path (`StoppingPolicy::CertifiedLookahead`, the default) against
 //!   the naive per-annotation path (`StoppingPolicy::EveryUnit`, paper
 //!   Figure 1 literal) on the aHPD/SRS cell, verifying bit-identical
-//!   stopping statistics across every repetition;
-//! * parallel harness throughput (work-stealing runner) on the same
-//!   cell;
-//! * poll-based `EvaluationSession` throughput on the same cell at
-//!   annotation batch sizes 1/16/256, each verified bit-identical to
-//!   the closed-loop path;
+//!   stopping statistics across every repetition (the lookahead arm is
+//!   the grid's own aHPD/SRS cell);
 //! * stratified width-greedy vs. proportional allocation on the NELL
 //!   predicate twin (width-greedy must win);
 //! * comparative multi-method campaigns (one shared SRS stream racing
@@ -34,23 +30,27 @@
 //!   campaigns must reach the MoE target with materially fewer
 //!   annotations than restarting each audit from scratch.
 //!
+//! Every run starts a fresh document through [`kgae_bench::report`];
+//! `service_load` then merges its HTTP rows into the same file.
+//! Throughput at other annotation batch sizes is `session_sim`'s job.
+//!
 //! Usage: `cargo run --release -p kgae-bench --bin bench_eval [--reps N]
 //! [--out PATH]`.
 
+use kgae_bench::report::{self, fixed};
 use kgae_bench::{arg_value, drive_session_oracle, reps_from_args};
 use kgae_core::comparative::ComparativeSession;
 use kgae_core::{
-    compared_methods, evaluate, evaluate_prepared, repeat_evaluation, AnnotationRequest,
-    ComparativeResult, DeltaBatch, EvalConfig, EvalResult, EvaluationSession, IntervalMethod,
-    MonitorSession, OracleAnnotator, PreparedDesign, SamplingDesign, SessionEngine, StoppingPolicy,
-    StratifiedConfig, StratifiedResult, StratifiedSession,
+    compared_methods, evaluate, evaluate_prepared, ComparativeResult, DeltaBatch, EvalConfig,
+    EvalResult, IntervalMethod, MonitorSession, OracleAnnotator, PreparedDesign, SamplingDesign,
+    SessionEngine, StoppingPolicy, StratifiedConfig, StratifiedResult, StratifiedSession,
 };
 use kgae_graph::{CompactKg, DeltaKg, GroundTruth, KnowledgeGraph};
 use kgae_intervals::KernelCache;
 use kgae_sampling::{AllocationPolicy, ComparePrimary};
+use kgae_service::json::Json;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,6 +70,18 @@ impl CellStats {
 
     fn ns_per_annotation(&self) -> f64 {
         self.wall_seconds * 1e9 / self.total_observations as f64
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("design", Json::str(&self.design)),
+            ("method", Json::str(&self.method)),
+            ("reps", Json::int(self.reps)),
+            ("wall_seconds", fixed(self.wall_seconds, 6)),
+            ("reps_per_sec", fixed(self.reps_per_sec(), 2)),
+            ("ns_per_annotation", fixed(self.ns_per_annotation(), 1)),
+            ("mean_triples", fixed(self.mean_triples, 2)),
+        ])
     }
 }
 
@@ -117,22 +129,6 @@ fn run_cell(
     )
 }
 
-fn json_cell(out: &mut String, c: &CellStats) {
-    let _ = write!(
-        out,
-        "    {{\"design\": \"{}\", \"method\": \"{}\", \"reps\": {}, \
-         \"wall_seconds\": {:.6}, \"reps_per_sec\": {:.2}, \
-         \"ns_per_annotation\": {:.1}, \"mean_triples\": {:.2}}}",
-        c.design,
-        c.method,
-        c.reps,
-        c.wall_seconds,
-        c.reps_per_sec(),
-        c.ns_per_annotation(),
-        c.mean_triples,
-    );
-}
-
 fn main() {
     // CI smoke steps gate on the exit code: any failure — I/O included —
     // must exit non-zero, never print-and-return.
@@ -166,10 +162,10 @@ fn run() -> Result<(), String> {
         IntervalMethod::Wilson,
         IntervalMethod::ahpd_default(),
     ];
-    let mut cells = Vec::new();
+    let mut grid = Vec::new();
     for design in designs {
         for method in &methods {
-            let (stats, _) = run_cell(&kg, design, method, &lookahead_cfg, reps, base_seed);
+            let (stats, results) = run_cell(&kg, design, method, &lookahead_cfg, reps, base_seed);
             eprintln!(
                 "{:>9} / {:<6}: {:>9.1} reps/s, {:>8.0} ns/annotation, {:>6.1} triples/rep",
                 stats.design,
@@ -178,26 +174,23 @@ fn run() -> Result<(), String> {
                 stats.ns_per_annotation(),
                 stats.mean_triples,
             );
-            cells.push(stats);
+            grid.push((stats, results));
         }
     }
 
     // ------------------------------------------------------------------
     // A/B: certified lookahead + incremental posterior vs. naive
-    // per-annotation interval construction, on aHPD/SRS.
+    // per-annotation interval construction, on aHPD/SRS. The lookahead
+    // arm is the grid's aHPD/SRS cell: same call, same seeds.
     // ------------------------------------------------------------------
     let ahpd = IntervalMethod::ahpd_default();
+    let (fast, fast_results) = grid
+        .iter()
+        .find(|(c, _)| c.design == SamplingDesign::Srs.name() && c.method == ahpd.name())
+        .ok_or("grid has no aHPD/SRS cell")?;
     let (naive, naive_results) =
         run_cell(&kg, SamplingDesign::Srs, &ahpd, &naive_cfg, reps, base_seed);
-    let (fast, fast_results) = run_cell(
-        &kg,
-        SamplingDesign::Srs,
-        &ahpd,
-        &lookahead_cfg,
-        reps,
-        base_seed,
-    );
-    let identical_stopping = naive_results.iter().zip(&fast_results).all(|(a, b)| {
+    let identical_stopping = naive_results.iter().zip(fast_results).all(|(a, b)| {
         a.observations == b.observations
             && a.annotated_triples == b.annotated_triples
             && a.mu_hat == b.mu_hat
@@ -211,48 +204,7 @@ fn run() -> Result<(), String> {
         fast.reps_per_sec(),
     );
 
-    // ------------------------------------------------------------------
-    // Poll-based session engine at several annotation batch sizes, on
-    // the same aHPD/SRS cell; results must match the closed-loop path
-    // bit for bit at every batch size.
-    // ------------------------------------------------------------------
-    struct SessionRow {
-        batch: u64,
-        wall_seconds: f64,
-        total_observations: u64,
-        identical: bool,
-    }
     let prepared_srs = PreparedDesign::new(&kg, SamplingDesign::Srs);
-    let mut session_rows = Vec::new();
-    for batch in [1u64, 16, 256] {
-        let _ = drive_session_oracle(&kg, &prepared_srs, &ahpd, &lookahead_cfg, base_seed, batch);
-        let mut results = Vec::with_capacity(reps as usize);
-        let t0 = Instant::now();
-        for rep in 0..reps {
-            let (r, _requests) = drive_session_oracle(
-                &kg,
-                &prepared_srs,
-                &ahpd,
-                &lookahead_cfg,
-                base_seed.wrapping_add(rep),
-                batch,
-            );
-            results.push(r);
-        }
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let identical = fast_results == results;
-        let total_observations: u64 = results.iter().map(|r| r.observations).sum();
-        eprintln!(
-            "session aHPD/SRS batch {batch:>3}: {:>9.1} reps/s (identical to loop: {identical})",
-            reps as f64 / wall_seconds,
-        );
-        session_rows.push(SessionRow {
-            batch,
-            wall_seconds,
-            total_observations,
-            identical,
-        });
-    }
 
     // ------------------------------------------------------------------
     // Stratified campaigns: width-greedy vs proportional budget
@@ -445,27 +397,7 @@ fn run() -> Result<(), String> {
     // solve per annotation, the per-poll regime the cache targets.
     {
         let drive_plain = |kernel: Option<&Arc<KernelCache>>, seed: u64| -> EvalResult {
-            let mut session = EvaluationSession::from_prepared(
-                &kg,
-                &prepared_srs,
-                &ahpd,
-                &lookahead_cfg,
-                SmallRng::seed_from_u64(seed),
-            );
-            if let Some(kernel) = kernel {
-                session.set_kernel_cache(Arc::clone(kernel));
-            }
-            let mut request = AnnotationRequest::default();
-            let mut labels: Vec<bool> = Vec::new();
-            while session
-                .next_request_into(1, &mut request)
-                .expect("session protocol")
-            {
-                labels.clear();
-                labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
-                session.submit(&labels).expect("label submission");
-            }
-            session.into_result().expect("stopped session has a result")
+            drive_session_oracle(&kg, &prepared_srs, &ahpd, &lookahead_cfg, seed, 1, kernel).0
         };
         let (off_wall, off_results) = time_arm(reps, base_seed, |seed| drive_plain(None, seed));
         let cache = Arc::new(KernelCache::new());
@@ -657,227 +589,147 @@ fn run() -> Result<(), String> {
         100.0 * monitor_savings,
     );
 
-    // ------------------------------------------------------------------
-    // Parallel harness throughput (work-stealing runner).
-    // ------------------------------------------------------------------
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let t0 = Instant::now();
-    let runs = repeat_evaluation(
-        &kg,
-        SamplingDesign::Srs,
-        &ahpd,
-        &lookahead_cfg,
-        reps,
-        base_seed,
-    );
-    let parallel_wall = t0.elapsed().as_secs_f64();
+    let doc = report::fresh(vec![
+        ("reps_per_cell", Json::int(reps)),
+        (
+            "cells",
+            Json::Arr(grid.iter().map(|(c, _)| c.to_json()).collect()),
+        ),
+        (
+            "ab_lookahead_vs_naive",
+            Json::obj(vec![
+                ("cell", Json::str("aHPD/SRS")),
+                ("naive_reps_per_sec", fixed(naive.reps_per_sec(), 2)),
+                ("lookahead_reps_per_sec", fixed(fast.reps_per_sec(), 2)),
+                (
+                    "naive_ns_per_annotation",
+                    fixed(naive.ns_per_annotation(), 1),
+                ),
+                (
+                    "lookahead_ns_per_annotation",
+                    fixed(fast.ns_per_annotation(), 1),
+                ),
+                ("speedup", fixed(speedup, 3)),
+                ("identical_stopping", Json::Bool(identical_stopping)),
+            ]),
+        ),
+        (
+            "stratified",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL-pred")),
+                ("strata", Json::int(pred_strat.num_strata() as u64)),
+                ("epsilon", Json::Num(strat_epsilon)),
+                ("reps", Json::int(strat_reps)),
+                ("width_greedy_mean_observations", fixed(greedy_mean, 2)),
+                (
+                    "proportional_mean_observations",
+                    fixed(proportional_mean, 2),
+                ),
+                ("savings_pct", fixed(100.0 * stratified_savings, 2)),
+                (
+                    "width_greedy_beats_proportional",
+                    Json::Bool(greedy_mean < proportional_mean),
+                ),
+            ]),
+        ),
+        (
+            "comparative",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL")),
+                ("design", Json::str("srs")),
+                ("primary", Json::str(comp_primary.canonical_name())),
+                ("reps", Json::int(comp_reps)),
+                ("shared_stream_mean_observations", fixed(shared_mean, 2)),
+                (
+                    "independent_campaigns_mean_observations",
+                    fixed(independent_mean, 2),
+                ),
+                ("savings_pct", fixed(100.0 * comparative_savings, 2)),
+                (
+                    "shared_beats_independent",
+                    Json::Bool(shared_observations < independent_observations),
+                ),
+                (
+                    "primary_identical_to_standalone",
+                    Json::Bool(primary_identical),
+                ),
+                (
+                    "methods",
+                    Json::Arr(
+                        roster
+                            .iter()
+                            .zip(&rival_stops)
+                            .enumerate()
+                            .map(|(i, (method, &(converged, stopped_sum)))| {
+                                Json::obj(vec![
+                                    ("method", Json::str(&method.canonical_name())),
+                                    ("primary", Json::Bool(i == primary_index)),
+                                    ("converged_in_shared_stream", Json::int(converged)),
+                                    (
+                                        "mean_stopped_at",
+                                        if converged > 0 {
+                                            fixed(stopped_sum as f64 / converged as f64, 2)
+                                        } else {
+                                            Json::Null
+                                        },
+                                    ),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "kernel_cache",
+            Json::obj(vec![(
+                "cells",
+                Json::Arr(
+                    cache_rows
+                        .iter()
+                        .map(|row| {
+                            Json::obj(vec![
+                                ("cell", Json::str(row.cell)),
+                                ("reps", Json::int(row.reps)),
+                                ("off_ns_per_annotation", fixed(row.off_ns(), 1)),
+                                ("on_ns_per_annotation", fixed(row.on_ns(), 1)),
+                                ("speedup", fixed(row.speedup(), 3)),
+                                ("hit_rate", fixed(row.hit_rate, 4)),
+                                ("identical_stopping", Json::Bool(row.identical)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            )]),
+        ),
+        (
+            "monitor_load",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL")),
+                ("reps", Json::int(monitor_reps)),
+                ("carry_weight", Json::Num(monitor_carry_weight)),
+                (
+                    "drift",
+                    Json::str("removes 1100 of 1860, adds 20 at 90% accuracy"),
+                ),
+                ("wall_seconds", fixed(monitor_wall, 6)),
+                ("initial_mean_annotations", fixed(monitor_initial_mean, 2)),
+                ("carryover_mean_annotations", fixed(monitor_carry_mean, 2)),
+                ("scratch_mean_annotations", fixed(monitor_scratch_mean, 2)),
+                ("savings_pct", fixed(100.0 * monitor_savings, 2)),
+                ("reopened", Json::int(monitor_reopened)),
+                (
+                    "carryover_beats_scratch",
+                    Json::Bool(monitor_carry_mean < monitor_scratch_mean),
+                ),
+            ]),
+        ),
+    ]);
+    report::write(&out_path, &doc)?;
     eprintln!(
-        "parallel harness ({threads} threads): {:.1} reps/s (mean triples {:.1})",
-        reps as f64 / parallel_wall,
-        runs.triples_summary().mean,
+        "wrote {out_path} (schema_version {})",
+        report::SCHEMA_VERSION
     );
-
-    // ------------------------------------------------------------------
-    // Emit JSON.
-    // ------------------------------------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"evaluation_loop\",");
-    let _ = writeln!(out, "  \"schema_version\": 9,");
-    let _ = writeln!(out, "  \"dataset\": \"NELL\",");
-    let _ = writeln!(out, "  \"reps_per_cell\": {reps},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        json_cell(&mut out, c);
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"ab_lookahead_vs_naive\": {{");
-    let _ = writeln!(out, "    \"cell\": \"aHPD/SRS\",");
-    let _ = writeln!(
-        out,
-        "    \"naive_reps_per_sec\": {:.2},",
-        naive.reps_per_sec()
-    );
-    let _ = writeln!(
-        out,
-        "    \"lookahead_reps_per_sec\": {:.2},",
-        fast.reps_per_sec()
-    );
-    let _ = writeln!(
-        out,
-        "    \"naive_ns_per_annotation\": {:.1},",
-        naive.ns_per_annotation()
-    );
-    let _ = writeln!(
-        out,
-        "    \"lookahead_ns_per_annotation\": {:.1},",
-        fast.ns_per_annotation()
-    );
-    let _ = writeln!(out, "    \"speedup\": {speedup:.3},");
-    let _ = writeln!(out, "    \"identical_stopping\": {identical_stopping}");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"session_batched\": [");
-    for (i, row) in session_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"cell\": \"aHPD/SRS\", \"batch\": {}, \"reps_per_sec\": {:.2}, \
-             \"ns_per_annotation\": {:.1}, \"identical_stopping\": {}}}",
-            row.batch,
-            reps as f64 / row.wall_seconds,
-            row.wall_seconds * 1e9 / row.total_observations as f64,
-            row.identical,
-        );
-        out.push_str(if i + 1 < session_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"stratified\": {{");
-    let _ = writeln!(out, "    \"dataset\": \"NELL-pred\",");
-    let _ = writeln!(out, "    \"strata\": {},", pred_strat.num_strata());
-    let _ = writeln!(out, "    \"epsilon\": {strat_epsilon},");
-    let _ = writeln!(out, "    \"reps\": {strat_reps},");
-    let _ = writeln!(
-        out,
-        "    \"width_greedy_mean_observations\": {greedy_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"proportional_mean_observations\": {proportional_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"savings_pct\": {:.2},",
-        100.0 * stratified_savings
-    );
-    let _ = writeln!(
-        out,
-        "    \"width_greedy_beats_proportional\": {}",
-        greedy_mean < proportional_mean
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"comparative\": {{");
-    let _ = writeln!(out, "    \"dataset\": \"NELL\",");
-    let _ = writeln!(out, "    \"design\": \"srs\",");
-    let _ = writeln!(
-        out,
-        "    \"primary\": \"{}\",",
-        comp_primary.canonical_name()
-    );
-    let _ = writeln!(out, "    \"reps\": {comp_reps},");
-    let _ = writeln!(
-        out,
-        "    \"shared_stream_mean_observations\": {shared_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"independent_campaigns_mean_observations\": {independent_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"savings_pct\": {:.2},",
-        100.0 * comparative_savings
-    );
-    let _ = writeln!(
-        out,
-        "    \"shared_beats_independent\": {},",
-        shared_observations < independent_observations
-    );
-    let _ = writeln!(
-        out,
-        "    \"primary_identical_to_standalone\": {primary_identical},"
-    );
-    let _ = writeln!(out, "    \"methods\": [");
-    for (i, method) in roster.iter().enumerate() {
-        let (converged, stopped_sum) = rival_stops[i];
-        let mean_stop = if converged > 0 {
-            format!("{:.2}", stopped_sum as f64 / converged as f64)
-        } else {
-            "null".into()
-        };
-        let _ = write!(
-            out,
-            "      {{\"method\": \"{}\", \"primary\": {}, \
-             \"converged_in_shared_stream\": {}, \"mean_stopped_at\": {}}}",
-            method.canonical_name(),
-            i == primary_index,
-            converged,
-            mean_stop,
-        );
-        out.push_str(if i + 1 < roster.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"kernel_cache\": {{");
-    let _ = writeln!(out, "    \"cells\": [");
-    for (i, row) in cache_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"cell\": \"{}\", \"reps\": {}, \
-             \"off_ns_per_annotation\": {:.1}, \"on_ns_per_annotation\": {:.1}, \
-             \"speedup\": {:.3}, \"hit_rate\": {:.4}, \"identical_stopping\": {}}}",
-            row.cell,
-            row.reps,
-            row.off_ns(),
-            row.on_ns(),
-            row.speedup(),
-            row.hit_rate,
-            row.identical,
-        );
-        out.push_str(if i + 1 < cache_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"monitor_load\": {{");
-    let _ = writeln!(out, "    \"dataset\": \"NELL\",");
-    let _ = writeln!(out, "    \"reps\": {monitor_reps},");
-    let _ = writeln!(out, "    \"carry_weight\": {monitor_carry_weight},");
-    let _ = writeln!(
-        out,
-        "    \"drift\": \"removes 1100 of 1860, adds 20 at 90% accuracy\","
-    );
-    let _ = writeln!(out, "    \"wall_seconds\": {monitor_wall:.6},");
-    let _ = writeln!(
-        out,
-        "    \"initial_mean_annotations\": {monitor_initial_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"carryover_mean_annotations\": {monitor_carry_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"scratch_mean_annotations\": {monitor_scratch_mean:.2},"
-    );
-    let _ = writeln!(out, "    \"savings_pct\": {:.2},", 100.0 * monitor_savings);
-    let _ = writeln!(out, "    \"reopened\": {monitor_reopened},");
-    let _ = writeln!(
-        out,
-        "    \"carryover_beats_scratch\": {}",
-        monitor_carry_mean < monitor_scratch_mean
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"parallel_harness\": {{");
-    let _ = writeln!(out, "    \"threads\": {threads},");
-    let _ = writeln!(
-        out,
-        "    \"reps_per_sec\": {:.2}",
-        reps as f64 / parallel_wall
-    );
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
-
-    std::fs::write(&out_path, &out).map_err(|e| format!("writing {out_path}: {e}"))?;
-    eprintln!("wrote {out_path}");
 
     if !identical_stopping {
         return Err("lookahead changed stopping statistics — certified bound violated".into());

@@ -1,7 +1,8 @@
 //! Load generator for the session service: boots a live `kgae-serve`
 //! stack (or targets an already-running one), replays NELL annotation
 //! streams from N concurrent HTTP clients, and reports
-//! throughput/latency into `BENCH_eval.json` (schema_version 9).
+//! throughput/latency into `BENCH_eval.json`, merged through
+//! [`kgae_bench::report`] next to `bench_eval`'s rows.
 //!
 //! Every client completes whole evaluation campaigns — create → poll →
 //! label (ground truth) → submit → converge — over real TCP with
@@ -53,12 +54,12 @@
 //! Exits non-zero on any failure — a broken server cannot green-wash a
 //! CI run.
 
-use kgae_bench::arg_value;
+use kgae_bench::{arg_value, report};
 use kgae_client::{Client, ClientError, RetryPolicy};
 use kgae_core::{DeltaBatch, StopReason};
 use kgae_graph::{CompactKg, DeltaKg, GroundTruth, TripleId};
 use kgae_service::api::SessionSpec;
-use kgae_service::json::{self, Json};
+use kgae_service::json::Json;
 use kgae_service::manager::{DatasetRegistry, SessionState};
 use kgae_service::{ManagerLimits, Metrics, Server, SessionManager, SnapshotStore};
 use std::collections::BTreeMap;
@@ -1031,142 +1032,136 @@ fn run_reactor_smoke(addr: SocketAddr, kg: &CompactKg, connections: u64) -> Resu
 
 /// Merges the `service_load`, `fault_load`, `reactor_load`,
 /// `metrics_overhead` and `metrics_reconciliation` rows into the
-/// benchmark JSON, stamping it schema 9 (creates a minimal document
-/// when the file is absent).
+/// benchmark JSON at `out_path`.
 fn write_report(
     out_path: &str,
-    report: &LoadReport,
+    load: &LoadReport,
     fault: &FaultLoadReport,
     reactor: &ReactorReport,
     overhead: &ReactorReport,
     recon: &ReconReport,
 ) -> Result<(), String> {
-    let mut doc = match std::fs::read_to_string(out_path) {
-        Ok(text) => json::parse(&text).map_err(|e| format!("parsing {out_path}: {e}"))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Json::obj(vec![
-            ("benchmark", Json::str("evaluation_loop")),
-            ("dataset", Json::str("NELL")),
-        ]),
-        Err(e) => return Err(format!("reading {out_path}: {e}")),
-    };
-    doc.set("schema_version", Json::int(9));
-    doc.set(
-        "service_load",
-        Json::obj(vec![
-            ("dataset", Json::str("NELL")),
-            ("design", Json::str("srs")),
-            ("method", Json::str("ahpd")),
-            ("clients", Json::int(report.clients)),
-            ("sessions_completed", Json::int(report.sessions)),
-            ("http_requests", Json::int(report.requests)),
-            ("batch", Json::int(report.batch)),
-            (
-                "sessions_per_sec",
-                Json::Num(report.sessions as f64 / report.wall_seconds),
-            ),
-            (
-                "requests_per_sec",
-                Json::Num(report.requests as f64 / report.wall_seconds),
-            ),
-            ("latency_mean_ms", Json::Num(report.mean_ms)),
-            ("latency_p50_ms", Json::Num(report.p50_ms)),
-            ("latency_p99_ms", Json::Num(report.p99_ms)),
-            // Always true in a written report: a parity failure exits
-            // non-zero before reporting.
-            ("suspend_evict_resume_bit_identical", Json::Bool(true)),
-        ]),
+    let rows = vec![
+        (
+            "service_load",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL")),
+                ("design", Json::str("srs")),
+                ("method", Json::str("ahpd")),
+                ("clients", Json::int(load.clients)),
+                ("sessions_completed", Json::int(load.sessions)),
+                ("http_requests", Json::int(load.requests)),
+                ("batch", Json::int(load.batch)),
+                (
+                    "sessions_per_sec",
+                    Json::Num(load.sessions as f64 / load.wall_seconds),
+                ),
+                (
+                    "requests_per_sec",
+                    Json::Num(load.requests as f64 / load.wall_seconds),
+                ),
+                ("latency_mean_ms", Json::Num(load.mean_ms)),
+                ("latency_p50_ms", Json::Num(load.p50_ms)),
+                ("latency_p99_ms", Json::Num(load.p99_ms)),
+                // Always true in a written report: a parity failure exits
+                // non-zero before reporting.
+                ("suspend_evict_resume_bit_identical", Json::Bool(true)),
+            ]),
+        ),
+        (
+            "fault_load",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL")),
+                ("design", Json::str("srs")),
+                ("method", Json::str("ahpd")),
+                (
+                    "fault",
+                    Json::str("seeded chaos proxy: responses torn/dropped mid-flight"),
+                ),
+                ("fault_prob", Json::Num(fault.fault_prob)),
+                ("clients", Json::int(fault.clients)),
+                ("sessions_completed", Json::int(fault.sessions)),
+                ("faults_injected", Json::int(fault.faults)),
+                ("campaigns_lost", Json::int(0)),
+                ("campaigns_duplicated", Json::int(0)),
+                // Always true in a written report: a twin divergence exits
+                // non-zero before reporting.
+                ("fault_free_twin_status_equal", Json::Bool(true)),
+            ]),
+        ),
+        (
+            "reactor_load",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL")),
+                ("design", Json::str("srs")),
+                ("method", Json::str("ahpd")),
+                ("idle_connections", Json::int(reactor.connections)),
+                (
+                    "peak_connections",
+                    Json::int(reactor.connections + reactor.active_clients),
+                ),
+                ("active_clients", Json::int(reactor.active_clients)),
+                ("workers", Json::int(reactor.workers)),
+                ("sessions_completed", Json::int(reactor.sessions)),
+                ("http_requests", Json::int(reactor.requests)),
+                (
+                    "requests_per_sec",
+                    Json::Num(reactor.requests as f64 / reactor.wall_seconds),
+                ),
+                ("latency_p50_ms", Json::Num(reactor.p50_ms)),
+                ("latency_p99_ms", Json::Num(reactor.p99_ms)),
+                // Always true in a written report: a shed connection or a
+                // sequential-twin divergence exits non-zero before
+                // reporting.
+                ("idle_connections_survived", Json::Bool(true)),
+                ("sequential_twin_status_equal", Json::Bool(true)),
+            ]),
+        ),
+        (
+            "metrics_overhead",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL")),
+                ("design", Json::str("srs")),
+                ("method", Json::str("ahpd")),
+                ("idle_connections", Json::int(overhead.connections)),
+                ("active_clients", Json::int(overhead.active_clients)),
+                ("workers", Json::int(overhead.workers)),
+                ("latency_p50_ms_metrics_off", Json::Num(reactor.p50_ms)),
+                ("latency_p50_ms_metrics_on", Json::Num(overhead.p50_ms)),
+                ("latency_p99_ms_metrics_off", Json::Num(reactor.p99_ms)),
+                ("latency_p99_ms_metrics_on", Json::Num(overhead.p99_ms)),
+                (
+                    "overhead_p50_ms",
+                    Json::Num(overhead.p50_ms - reactor.p50_ms),
+                ),
+                // Always true in a written report: breaching the noise
+                // gate exits non-zero before reporting.
+                ("p50_within_noise", Json::Bool(true)),
+            ]),
+        ),
+        (
+            "metrics_reconciliation",
+            Json::obj(vec![
+                ("dataset", Json::str("NELL")),
+                ("design", Json::str("srs")),
+                ("method", Json::str("ahpd")),
+                ("clients", Json::int(recon.clients)),
+                ("sessions_completed", Json::int(recon.sessions)),
+                ("http_requests", Json::int(recon.http_requests)),
+                ("evictions", Json::int(recon.evictions)),
+                ("quota_429s", Json::int(recon.quota_refusals)),
+                // Always true in a written report: any scraped counter
+                // delta that disagrees with the client-side count exits
+                // non-zero before reporting.
+                ("counters_reconciled", Json::Bool(true)),
+            ]),
+        ),
+    ];
+    report::write(out_path, &report::merged(out_path, rows)?)?;
+    eprintln!(
+        "wrote {out_path} (schema_version {})",
+        report::SCHEMA_VERSION
     );
-    doc.set(
-        "fault_load",
-        Json::obj(vec![
-            ("dataset", Json::str("NELL")),
-            ("design", Json::str("srs")),
-            ("method", Json::str("ahpd")),
-            (
-                "fault",
-                Json::str("seeded chaos proxy: responses torn/dropped mid-flight"),
-            ),
-            ("fault_prob", Json::Num(fault.fault_prob)),
-            ("clients", Json::int(fault.clients)),
-            ("sessions_completed", Json::int(fault.sessions)),
-            ("faults_injected", Json::int(fault.faults)),
-            ("campaigns_lost", Json::int(0)),
-            ("campaigns_duplicated", Json::int(0)),
-            // Always true in a written report: a twin divergence exits
-            // non-zero before reporting.
-            ("fault_free_twin_status_equal", Json::Bool(true)),
-        ]),
-    );
-    doc.set(
-        "reactor_load",
-        Json::obj(vec![
-            ("dataset", Json::str("NELL")),
-            ("design", Json::str("srs")),
-            ("method", Json::str("ahpd")),
-            ("idle_connections", Json::int(reactor.connections)),
-            (
-                "peak_connections",
-                Json::int(reactor.connections + reactor.active_clients),
-            ),
-            ("active_clients", Json::int(reactor.active_clients)),
-            ("workers", Json::int(reactor.workers)),
-            ("sessions_completed", Json::int(reactor.sessions)),
-            ("http_requests", Json::int(reactor.requests)),
-            (
-                "requests_per_sec",
-                Json::Num(reactor.requests as f64 / reactor.wall_seconds),
-            ),
-            ("latency_p50_ms", Json::Num(reactor.p50_ms)),
-            ("latency_p99_ms", Json::Num(reactor.p99_ms)),
-            // Always true in a written report: a shed connection or a
-            // sequential-twin divergence exits non-zero before
-            // reporting.
-            ("idle_connections_survived", Json::Bool(true)),
-            ("sequential_twin_status_equal", Json::Bool(true)),
-        ]),
-    );
-    doc.set(
-        "metrics_overhead",
-        Json::obj(vec![
-            ("dataset", Json::str("NELL")),
-            ("design", Json::str("srs")),
-            ("method", Json::str("ahpd")),
-            ("idle_connections", Json::int(overhead.connections)),
-            ("active_clients", Json::int(overhead.active_clients)),
-            ("workers", Json::int(overhead.workers)),
-            ("latency_p50_ms_metrics_off", Json::Num(reactor.p50_ms)),
-            ("latency_p50_ms_metrics_on", Json::Num(overhead.p50_ms)),
-            ("latency_p99_ms_metrics_off", Json::Num(reactor.p99_ms)),
-            ("latency_p99_ms_metrics_on", Json::Num(overhead.p99_ms)),
-            (
-                "overhead_p50_ms",
-                Json::Num(overhead.p50_ms - reactor.p50_ms),
-            ),
-            // Always true in a written report: breaching the noise
-            // gate exits non-zero before reporting.
-            ("p50_within_noise", Json::Bool(true)),
-        ]),
-    );
-    doc.set(
-        "metrics_reconciliation",
-        Json::obj(vec![
-            ("dataset", Json::str("NELL")),
-            ("design", Json::str("srs")),
-            ("method", Json::str("ahpd")),
-            ("clients", Json::int(recon.clients)),
-            ("sessions_completed", Json::int(recon.sessions)),
-            ("http_requests", Json::int(recon.http_requests)),
-            ("evictions", Json::int(recon.evictions)),
-            ("quota_429s", Json::int(recon.quota_refusals)),
-            // Always true in a written report: any scraped counter
-            // delta that disagrees with the client-side count exits
-            // non-zero before reporting.
-            ("counters_reconciled", Json::Bool(true)),
-        ]),
-    );
-    std::fs::write(out_path, format!("{}\n", doc.encode_pretty()))
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
-    eprintln!("wrote {out_path} (schema_version 9)");
     Ok(())
 }
 

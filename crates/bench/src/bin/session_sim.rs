@@ -41,12 +41,12 @@ fn run_cell(
     baseline: Option<&[EvalResult]>,
 ) -> Result<(CellRow, Vec<EvalResult>), String> {
     // Warm-up rep to keep one-time costs out of the measurement.
-    let _ = drive_session_oracle(kg, prepared, method, cfg, 0, batch);
+    let _ = drive_session_oracle(kg, prepared, method, cfg, 0, batch, None);
     let mut results = Vec::with_capacity(reps as usize);
     let mut total_requests = 0u64;
     let t0 = Instant::now();
     for seed in 0..reps {
-        let (r, requests) = drive_session_oracle(kg, prepared, method, cfg, seed, batch);
+        let (r, requests) = drive_session_oracle(kg, prepared, method, cfg, seed, batch, None);
         total_requests += requests;
         results.push(r);
     }

@@ -19,7 +19,8 @@
 //!     &IntervalMethod::Wilson,
 //!     &EvalConfig::default(),
 //!     7,
-//!     16, // batch size: 16 triples per annotation request
+//!     16,   // batch size: 16 triples per annotation request
+//!     None, // no shared kernel cache
 //! );
 //! assert!(result.converged);
 //! assert!(requests >= 1);
@@ -33,8 +34,13 @@ use kgae_core::{
     IntervalMethod, PreparedDesign, RepeatedRuns, SamplingDesign,
 };
 use kgae_graph::{CompactKg, GroundTruth};
+use kgae_intervals::KernelCache;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::str::FromStr;
+use std::sync::Arc;
+
+pub mod report;
 
 /// A named dataset with its ground-truth accuracy.
 pub struct Dataset {
@@ -95,13 +101,35 @@ pub fn syn_scale_from_args() -> (u64, u32) {
 }
 
 /// Value of a space-separated CLI flag (`--flag value`), parsed; `None`
-/// when the flag is absent or its value fails to parse.
-pub fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
+/// when the flag is absent. A present flag whose value is missing or
+/// fails to parse ends the process with a non-zero exit and a message
+/// naming the flag, so a typo never silently runs the default.
+pub fn arg_value<T: FromStr>(flag: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    parse_flag(&args, flag).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    })
+}
+
+/// [`arg_value`] over an explicit argument list: `Ok(None)` when `flag`
+/// is absent, and an error naming the flag when its value is missing or
+/// does not parse as `T`.
+///
+/// # Errors
+///
+/// A message naming `flag` and the offending value.
+fn parse_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 /// Runs one (dataset, design, method) cell of a table.
@@ -123,9 +151,10 @@ pub fn run_cell(
 
 /// Drives a poll-based [`EvaluationSession`] to completion with oracle
 /// labels, submitting annotation batches of `batch` stage-1 units.
-/// Returns the final result and the number of annotation requests the
-/// external "annotator" served — the round-trip count a real annotation
-/// service would pay at that batch size.
+/// With `kernel`, the session memoizes its interval solves in that
+/// shared cache. Returns the final result and the number of annotation
+/// requests the external "annotator" served — the round-trip count a
+/// real annotation service would pay at that batch size.
 #[must_use]
 pub fn drive_session_oracle(
     kg: &CompactKg,
@@ -134,9 +163,13 @@ pub fn drive_session_oracle(
     cfg: &EvalConfig,
     seed: u64,
     batch: u64,
+    kernel: Option<&Arc<KernelCache>>,
 ) -> (EvalResult, u64) {
     let mut session =
         EvaluationSession::from_prepared(kg, prepared, method, cfg, SmallRng::seed_from_u64(seed));
+    if let Some(kernel) = kernel {
+        session.set_kernel_cache(Arc::clone(kernel));
+    }
     let mut request = AnnotationRequest::default();
     let mut labels: Vec<bool> = Vec::new();
     let mut requests = 0u64;
@@ -202,5 +235,21 @@ mod tests {
         ta.sort_by(f64::total_cmp);
         tb.sort_by(f64::total_cmp);
         assert_eq!(ta, tb);
+    }
+
+    #[test]
+    fn flag_parsing_rejects_what_it_cannot_read() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|a| a.to_string()).collect() };
+        let argv = args(&["bin", "--reps", "250", "--out", "x.json"]);
+        assert_eq!(parse_flag::<u64>(&argv, "--scale"), Ok(None), "absent");
+        assert_eq!(parse_flag::<u64>(&argv, "--reps"), Ok(Some(250)), "valid");
+        assert_eq!(
+            parse_flag::<String>(&argv, "--out"),
+            Ok(Some("x.json".into()))
+        );
+        let bad = parse_flag::<u64>(&args(&["bin", "--reps", "1e3"]), "--reps").unwrap_err();
+        assert!(bad.contains("--reps") && bad.contains("1e3"), "{bad}");
+        let trailing = parse_flag::<u64>(&args(&["bin", "--reps"]), "--reps").unwrap_err();
+        assert!(trailing.contains("--reps"), "{trailing}");
     }
 }

@@ -130,7 +130,8 @@ impl Json {
     }
 
     /// [`Json::encode`] with two-space indentation — for artifacts a
-    /// human diffs, like `BENCH_eval.json`.
+    /// human diffs, like the `BENCH_eval.json` ledger that `kgae-bench`'s
+    /// `report` module writes.
     #[must_use]
     pub fn encode_pretty(&self) -> String {
         let mut out = String::new();
